@@ -60,10 +60,20 @@ def main():
 def explain_cmd(model_path, graph_path, target_class, method, k_range, out_path, dot_path):
     """Explain one graph and write the explanation file (optionally DOT)."""
 
+    if target_class == "auto":
+        target = "auto"
+    else:
+        try:
+            target = int(target_class)
+        except ValueError:
+            raise click.BadParameter(
+                f"{target_class!r} is neither 'auto' nor an integer",
+                param_hint="--class",
+            ) from None
+
     def run():
         m = load_model(model_path)
         g = load_graph(graph_path)
-        target = "auto" if target_class == "auto" else int(target_class)
         e = run_explain(m, g, target_class=target, method=method, k_range=k_range)
         save_explanation(e, g, out_path)
         if dot_path:

@@ -15,14 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, UndefinedMetricError
-from .graphs import Graph, InducedSubgraph, induce_by_edges, sparsity
+from .errors import (
+    EnumerationTooLargeError,
+    InvalidSelectionError,
+    UndefinedMetricError,
+)
+from .graphs import Graph, InducedSubgraph, edge_mask, induce_by_edges, sparsity
 from .models import (
     ForwardCounter,
     ModelSpec,
     Prediction,
     forward,
-    forward_on_induced,
+    forward_on_edges,
     forward_with_override,
 )
 
@@ -189,6 +193,20 @@ def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
     return tuple(sorted(range(len(vals)), key=lambda i: (-vals[i], i)))
 
 
+def _drop(
+    m: ModelSpec,
+    g: Graph,
+    kept: np.ndarray,
+    target_class: int,
+    counter: ForwardCounter | None,
+    original: Prediction,
+) -> float:
+    """Probability drop from the graph to the standalone graph of the edges
+    set in the boolean mask `kept`: one forward pass."""
+    p = forward_on_edges(m, g, kept, counter).probabilities[target_class]
+    return float(original.probabilities[target_class] - p)
+
+
 def fidelity_plus(
     m: ModelSpec,
     g: Graph,
@@ -199,15 +217,10 @@ def fidelity_plus(
 ) -> float:
     """Probability drop when the selected edges are removed: the remainder
     is edge-induced from the complement edge set."""
-    edges = set(int(e) for e in edges)
+    selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    complement = [e for e in range(g.num_undirected_edges) if e not in edges]
-    remainder = induce_by_edges(g, complement)
-    kept = forward_on_induced(m, remainder, counter)
-    return float(
-        original.probabilities[target_class] - kept.probabilities[target_class]
-    )
+    return _drop(m, g, ~selected, target_class, counter, original)
 
 
 def fidelity_minus(
@@ -219,13 +232,10 @@ def fidelity_minus(
     original: Prediction | None = None,
 ) -> float:
     """Probability drop when only the selected edges are kept."""
+    selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    sub = induce_by_edges(g, edges)
-    kept = forward_on_induced(m, sub, counter)
-    return float(
-        original.probabilities[target_class] - kept.probabilities[target_class]
-    )
+    return _drop(m, g, selected, target_class, counter, original)
 
 
 def overall_fidelity(
@@ -277,12 +287,14 @@ def linear_search(
         counter = ForwardCounter()
     if original is None:
         original = forward(m, g, counter)
+    order = np.array(ranked, dtype=np.int64)
     best_k = None
     best = (-np.inf, 0.0, 0.0)
     for k in _candidate_range(num_edges, k_range):
-        prefix = ranked[:k]
-        fplus = fidelity_plus(m, g, prefix, target_class, counter, original)
-        fminus = fidelity_minus(m, g, prefix, target_class, counter, original)
+        prefix = np.zeros(num_edges, dtype=bool)
+        prefix[order[:k]] = True
+        fplus = _drop(m, g, ~prefix, target_class, counter, original)
+        fminus = _drop(m, g, prefix, target_class, counter, original)
         score = fplus - fminus
         if score > best[0]:
             best = (score, fplus, fminus)
@@ -319,6 +331,10 @@ def explain(
     With the default method this costs at most 3|E| + 2 forward passes:
     1 original + |E| scoring + 2 per prefix candidate.
     """
+    if target_class != "auto" and not 0 <= int(target_class) < m.num_classes:
+        raise InvalidSelectionError(
+            f"target class {target_class} outside [0, {m.num_classes})"
+        )
     counter = ForwardCounter()
     original = forward(m, g, counter)
     c = original.predicted_class if target_class == "auto" else int(target_class)
@@ -365,7 +381,11 @@ def brute_force_best_subgraph(
     best_score = -np.inf
     for size in range(1, num_edges + 1):
         for subset in itertools.combinations(range(num_edges), size):
-            score = overall_fidelity(m, g, subset, target_class, counter, original)
+            chosen = np.zeros(num_edges, dtype=bool)
+            chosen[list(subset)] = True
+            score = _drop(m, g, ~chosen, target_class, counter, original) - _drop(
+                m, g, chosen, target_class, counter, original
+            )
             if score > best_score or (score == best_score and subset < best_subset):
                 best_score = score
                 best_subset = subset

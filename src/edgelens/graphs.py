@@ -1,14 +1,17 @@
 """Graph representation, subgraph inducing techniques, and structural metrics.
 
-Graphs are stored as a directed weighted edge list. Undirected graphs pair
-each edge with its reverse; selections, rankings and sparsity all operate on
-the undirected pairing, the directed list is an encoding detail.
+Graphs are stored as a directed weighted edge list in which every edge is
+paired with its reverse. Selections, rankings and sparsity all operate on
+the undirected pairing; the directed list is an encoding detail. Each graph
+also derives undirected endpoint arrays and an (E,) weight array once, which
+the forward engine indexes instead of walking the edge list.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,8 +33,12 @@ class Graph:
     features: (n, d) float64 matrix, row v is the feature vector of node v.
     directed_edges: tuple of (src, dst, weight), weight in [0, 1].
     undirected_pairs: tuple of (i_fwd, i_rvs) index pairs into directed_edges;
-        the two directed edges realizing one undirected edge.
+        the two directed edges realizing one undirected edge. Every directed
+        edge belongs to exactly one pair and both carry the same weight.
     node_ids: stable node identifiers, position = internal index.
+
+    Derived, read-only, indexed by undirected edge: edge_u and edge_v are
+    the endpoints with edge_u < edge_v, edge_weight the weight.
     """
 
     features: np.ndarray
@@ -39,6 +46,9 @@ class Graph:
     undirected_pairs: tuple[tuple[int, int], ...]
     node_ids: tuple[int, ...]
     label: int | None = None
+    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -56,12 +66,13 @@ class Graph:
                 raise DataFormatError(f"edge ({src}, {dst}) out of range for n={n}")
             if src == dst:
                 raise DataFormatError("self-loops are not allowed in input graphs")
-            if not (np.isfinite(w) and 0.0 <= w <= 1.0):
+            if not (math.isfinite(w) and 0.0 <= w <= 1.0):
                 raise DataFormatError(f"edge weight {w} outside [0, 1]")
             if (src, dst) in seen:
                 raise DataFormatError(f"duplicate directed edge ({src}, {dst})")
             seen.add((src, dst))
         used = set()
+        us, vs, ws = [], [], []
         for i_fwd, i_rvs in self.undirected_pairs:
             for i in (i_fwd, i_rvs):
                 if not 0 <= i < len(self.directed_edges):
@@ -69,10 +80,31 @@ class Graph:
                 if i in used:
                     raise DataFormatError(f"directed edge {i} appears in two pairs")
                 used.add(i)
-            sf, df, _ = self.directed_edges[i_fwd]
-            sr, dr, _ = self.directed_edges[i_rvs]
+            sf, df, wf = self.directed_edges[i_fwd]
+            sr, dr, wr = self.directed_edges[i_rvs]
             if (sf, df) != (dr, sr):
                 raise DataFormatError("paired edges must have swapped endpoints")
+            if wf != wr:
+                raise DataFormatError(
+                    f"edge ({sf}, {df}) has weight {wf} one way and {wr} the other"
+                )
+            us.append(min(sf, df))
+            vs.append(max(sf, df))
+            ws.append(wf)
+        if len(used) != len(self.directed_edges):
+            unpaired = min(set(range(len(self.directed_edges))) - used)
+            src, dst, _ = self.directed_edges[unpaired]
+            raise DataFormatError(
+                f"directed edge ({src}, {dst}) belongs to no undirected pair"
+            )
+        for name, values, dtype in (
+            ("edge_u", us, np.int64),
+            ("edge_v", vs, np.int64),
+            ("edge_weight", ws, np.float64),
+        ):
+            arr = np.array(values, dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -181,6 +213,13 @@ def _check_edges(g: Graph, es: Iterable[int]) -> frozenset[int]:
     if bad:
         raise InvalidSelectionError(f"unknown edge indices {sorted(bad)}")
     return es
+
+
+def edge_mask(g: Graph, es: Iterable[int]) -> np.ndarray:
+    """Boolean (E,) mask of the undirected edges in es."""
+    mask = np.zeros(g.num_undirected_edges, dtype=bool)
+    mask[list(_check_edges(g, es))] = True
+    return mask
 
 
 def _components_of(
@@ -404,18 +443,10 @@ def _graph_from_obj(obj: dict) -> Graph:
     feats = np.asarray(obj["features"], dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != obj["n"]:
         raise DataFormatError("features shape does not match n")
-    label = obj.get("label")
-    if obj["undirected"]:
-        edges = [(int(u), int(v), float(w)) for u, v, w in obj["edges"]]
-        return Graph.undirected(feats, edges, label=label)
-    directed = tuple((int(u), int(v), float(w)) for u, v, w in obj["edges"])
-    return Graph(
-        features=feats,
-        directed_edges=directed,
-        undirected_pairs=(),
-        node_ids=tuple(range(feats.shape[0])),
-        label=label,
-    )
+    if not obj["undirected"]:
+        raise DataFormatError("only undirected graphs are supported")
+    edges = [(int(u), int(v), float(w)) for u, v, w in obj["edges"]]
+    return Graph.undirected(feats, edges, label=obj.get("label"))
 
 
 def load_graph(path) -> Graph:

@@ -14,8 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ModelFormatError, NumericalFailureError
-from .graphs import Graph, InducedSubgraph
+from .errors import DataFormatError, ModelFormatError, NumericalFailureError
+from .graphs import Graph, InducedSubgraph, edge_mask
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -133,16 +133,16 @@ def weighted_adjacency(
 ) -> np.ndarray:
     """Dense adjacency from the current edge weights. `overrides` maps an
     undirected edge index to a replacement weight applied to both directions."""
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for src, dst, w in g.directed_edges:
-        a[src, dst] = w
+    w = g.edge_weight
     if overrides:
-        for idx, w in overrides.items():
+        w = w.copy()
+        for idx, value in overrides.items():
             if not 0 <= idx < g.num_undirected_edges:
                 raise KeyError(f"unknown undirected edge index {idx}")
-            for di in g.undirected_pairs[idx]:
-                src, dst, _ = g.directed_edges[di]
-                a[src, dst] = float(w)
+            w[idx] = float(value)
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    a[g.edge_u, g.edge_v] = w
+    a[g.edge_v, g.edge_u] = w
     return a
 
 
@@ -167,14 +167,19 @@ def forward_dense(
         raise NumericalFailureError(
             f"feature dim {features.shape[1]} != model input dim {m.input_dim}"
         )
+    if features.shape[0] == 0:
+        raise DataFormatError("cannot evaluate a graph with no nodes")
     if counter is not None:
         counter.tick()
     h = features
     if m.conv_kind == "gcn":
-        a_hat = adjacency + np.eye(adjacency.shape[0])
-        deg = a_hat.sum(axis=1)
-        d_inv_sqrt = 1.0 / np.sqrt(deg)
-        norm = d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+        # D^-1/2 (A + I) D^-1/2 in one buffer; the same operations in the
+        # same order as d[:, None] * (A + I) * d[None, :], so bitwise equal.
+        norm = np.array(adjacency, dtype=np.float64, order="C")
+        norm.flat[:: norm.shape[0] + 1] += 1.0
+        d_inv_sqrt = 1.0 / np.sqrt(norm.sum(axis=1))
+        norm *= d_inv_sqrt[:, None]
+        norm *= d_inv_sqrt[None, :]
         for layer in m.layers:
             h = _relu(norm @ h @ layer.weight + layer.bias)
     else:
@@ -209,6 +214,33 @@ def forward_with_override(
     return forward_dense(m, weighted_adjacency(g, overrides), g.features, counter)
 
 
+def forward_on_edges(
+    m: ModelSpec,
+    g: Graph,
+    mask: np.ndarray,
+    counter: ForwardCounter | None = None,
+    nodes: np.ndarray | None = None,
+) -> Prediction:
+    """Forward on the standalone graph made of the undirected edges where the
+    boolean (E,) `mask` is set.
+
+    The graph keeps the sorted parent node ids `nodes`, by default exactly
+    the endpoints of the kept edges. When no node is kept, all parent nodes
+    are evaluated as isolated nodes under a zero adjacency.
+    """
+    u, v, w = g.edge_u[mask], g.edge_v[mask], g.edge_weight[mask]
+    if nodes is None:
+        nodes = np.unique(np.concatenate((u, v)))
+    if len(nodes) == 0:
+        return forward_dense(m, np.zeros((g.n, g.n)), g.features, counter)
+    iu = np.searchsorted(nodes, u)
+    iv = np.searchsorted(nodes, v)
+    adjacency = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
+    adjacency[iu, iv] = w
+    adjacency[iv, iu] = w
+    return forward_dense(m, adjacency, g.features[nodes], counter)
+
+
 def forward_on_induced(
     m: ModelSpec,
     s: InducedSubgraph,
@@ -220,23 +252,13 @@ def forward_on_induced(
     Empty subgraphs follow `empty_policy`: "isolated-nodes" evaluates all
     parent nodes under a zero adjacency, "reject" raises.
     """
-    g = s.parent
     if s.num_nodes == 0:
         if empty_policy == "reject":
             raise NumericalFailureError("forward on an empty subgraph rejected")
         if empty_policy != "isolated-nodes":
             raise ValueError(f"unknown empty policy {empty_policy!r}")
-        adjacency = np.zeros((g.n, g.n), dtype=np.float64)
-        return forward_dense(m, adjacency, g.features, counter)
-    index = {v: i for i, v in enumerate(s.nodes)}
-    adjacency = np.zeros((len(s.nodes), len(s.nodes)), dtype=np.float64)
-    for e in s.edges:
-        u, v = g.undirected_endpoints(e)
-        w = g.undirected_weight(e)
-        adjacency[index[u], index[v]] = w
-        adjacency[index[v], index[u]] = w
-    feats = g.features[list(s.nodes), :]
-    return forward_dense(m, adjacency, feats, counter)
+    nodes = np.array(s.nodes, dtype=np.int64)
+    return forward_on_edges(m, s.parent, edge_mask(s.parent, s.edges), counter, nodes)
 
 
 def _arr_to_list(a: np.ndarray) -> list:

@@ -1,0 +1,101 @@
+"""Loop-built reference for the forward engine, used only by the tests.
+
+It is the engine as it stood before the edge-array rewrite: the adjacency is
+filled one directed edge at a time, a fidelity pass first builds the
+edge-induced subgraph with `induce_by_edges` and then fills the subgraph's
+adjacency edge by edge, and the GCN normalization is the plain expression
+d[:, None] * (A + I) * d[None, :]. The library must match it bitwise.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from edgelens.graphs import Graph, induce_by_edges
+from edgelens.models import ModelSpec
+
+
+def loop_adjacency(g: Graph, overrides=None) -> np.ndarray:
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    for src, dst, w in g.directed_edges:
+        a[src, dst] = w
+    for idx, w in (overrides or {}).items():
+        for di in g.undirected_pairs[idx]:
+            src, dst, _ = g.directed_edges[di]
+            a[src, dst] = float(w)
+    return a
+
+
+def _relu(x):
+    return np.maximum(x, 0.0)
+
+
+def loop_probabilities(m: ModelSpec, adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
+    h = features
+    if m.conv_kind == "gcn":
+        a_hat = adjacency + np.eye(adjacency.shape[0])
+        deg = a_hat.sum(axis=1)
+        d_inv_sqrt = 1.0 / np.sqrt(deg)
+        norm = d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+        for layer in m.layers:
+            h = _relu(norm @ h @ layer.weight + layer.bias)
+    else:
+        for layer in m.layers:
+            agg = (1.0 + layer.epsilon) * h + adjacency @ h
+            h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
+    pooled = h.mean(axis=0) if m.pooling == "mean" else h.sum(axis=0)
+    cls = m.classifier
+    logits = _relu(pooled @ cls.w1 + cls.b1) @ cls.w2 + cls.b2
+    e = np.exp(logits - np.max(logits))
+    return e / e.sum()
+
+
+def loop_probabilities_on_edges(m: ModelSpec, g: Graph, edges) -> np.ndarray:
+    """Probabilities on the standalone graph edge-induced by `edges`; an
+    empty selection keeps every node, isolated."""
+    s = induce_by_edges(g, edges)
+    if s.num_nodes == 0:
+        return loop_probabilities(m, np.zeros((g.n, g.n)), g.features)
+    index = {v: i for i, v in enumerate(s.nodes)}
+    a = np.zeros((len(s.nodes), len(s.nodes)), dtype=np.float64)
+    for e in s.edges:
+        u, v = g.undirected_endpoints(e)
+        w = g.undirected_weight(e)
+        a[index[u], index[v]] = w
+        a[index[v], index[u]] = w
+    return loop_probabilities(m, a, g.features[list(s.nodes), :])
+
+
+def loop_fidelities(m: ModelSpec, g: Graph, edges, c: int) -> tuple[float, float]:
+    """(Fid+, Fid-) of the selected edges."""
+    p = loop_probabilities(m, loop_adjacency(g), g.features)[c]
+    chosen = set(edges)
+    rest = [e for e in range(g.num_undirected_edges) if e not in chosen]
+    fplus = float(p - loop_probabilities_on_edges(m, g, rest)[c])
+    fminus = float(p - loop_probabilities_on_edges(m, g, sorted(chosen))[c])
+    return fplus, fminus
+
+
+def loop_scores(m: ModelSpec, g: Graph, c: int) -> np.ndarray:
+    """Linear-gradient scores from the zero base point."""
+    p = loop_probabilities(m, loop_adjacency(g), g.features)[c]
+    return np.array(
+        [
+            (p - loop_probabilities(m, loop_adjacency(g, {e: 0.0}), g.features)[c])
+            / (2.0 * abs(g.undirected_weight(e)))
+            for e in range(g.num_undirected_edges)
+        ]
+    )
+
+
+def loop_brute_force(m: ModelSpec, g: Graph, c: int) -> tuple[tuple[int, ...], float]:
+    best, best_score = None, -np.inf
+    for size in range(1, g.num_undirected_edges + 1):
+        for subset in itertools.combinations(range(g.num_undirected_edges), size):
+            fplus, fminus = loop_fidelities(m, g, subset, c)
+            score = fplus - fminus
+            if score > best_score or (score == best_score and subset < best):
+                best, best_score = subset, score
+    return best, float(best_score)

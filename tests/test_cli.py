@@ -105,6 +105,23 @@ class TestExplainCommand:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("target, code", [("5", 3), ("-1", 3), ("two", 2)])
+    def test_bad_class(self, runner, workspace, target, code):
+        out = workspace["dir"] / "x.json"
+        result = runner.invoke(
+            main,
+            [
+                "explain",
+                "--model", str(workspace["model"]),
+                "--graph", str(workspace["graph"]),
+                "--class", target,
+                "--out", str(out),
+            ],
+        )
+        assert result.exit_code == code, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_report_and_table(self, runner, workspace):

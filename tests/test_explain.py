@@ -1,11 +1,14 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from edgelens import (
+    EdgeLensError,
     EdgeScores,
     Graph,
+    InvalidSelectionError,
     UndefinedMetricError,
     brute_force_best_subgraph,
     edge_set_importance,
@@ -207,6 +210,25 @@ class TestExplain:
     def test_external_requires_scores(self, path3, small_model):
         with pytest.raises(ValueError):
             explain(small_model, path3, target_class=0, method="external")
+
+    @pytest.mark.parametrize("target", [2, 5, -1])
+    def test_rejects_class_outside_model(self, path3, small_model, target):
+        with pytest.raises(InvalidSelectionError, match="target class"):
+            explain(small_model, path3, target_class=target)
+
+    def test_rejects_graph_without_nodes(self, small_model):
+        g = Graph.undirected(np.ones((0, 2)), [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EdgeLensError, match="no nodes"):
+                explain(small_model, g)
+
+
+class TestFidelityInput:
+    def test_unknown_edges_rejected(self, path3, small_model):
+        for fidelity in (fidelity_plus, fidelity_minus):
+            with pytest.raises(InvalidSelectionError):
+                fidelity(small_model, path3, [0, 2], 0)
 
 
 class TestBaselines:

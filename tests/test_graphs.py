@@ -20,7 +20,7 @@ from edgelens import (
     save_graph,
     sparsity,
 )
-from edgelens.graphs import graph_from_json, graph_to_json
+from edgelens.graphs import edge_mask, graph_from_json, graph_to_json
 
 from conftest import random_graph
 
@@ -291,3 +291,51 @@ class TestGraphIO:
     def test_rejects_self_loop(self):
         with pytest.raises(DataFormatError):
             Graph.undirected(np.ones((2, 1)), [(0, 0)])
+
+    def test_rejects_pair_with_two_weights(self):
+        with pytest.raises(DataFormatError, match="one way"):
+            Graph(
+                features=np.ones((2, 1)),
+                directed_edges=((0, 1, 1.0), (1, 0, 0.2)),
+                undirected_pairs=((0, 1),),
+                node_ids=(0, 1),
+            )
+
+    def test_rejects_unpaired_directed_edge(self):
+        with pytest.raises(DataFormatError, match="no undirected pair"):
+            Graph(
+                features=np.ones((3, 1)),
+                directed_edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)),
+                undirected_pairs=((0, 1),),
+                node_ids=(0, 1, 2),
+            )
+
+    def test_rejects_directed_json(self):
+        with pytest.raises(DataFormatError, match="undirected"):
+            graph_from_json(
+                '{"version":1,"n":2,"features":[[1.0],[1.0]],'
+                '"edges":[[0,1,1.0]],"undirected":false}'
+            )
+
+
+class TestEdgeArrays:
+    def test_match_undirected_accessors(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            g = random_graph(rng)
+            m = g.num_undirected_edges
+            assert g.edge_u.shape == g.edge_v.shape == g.edge_weight.shape == (m,)
+            for i in range(m):
+                assert (g.edge_u[i], g.edge_v[i]) == g.undirected_endpoints(i)
+                assert g.edge_weight[i] == g.undirected_weight(i)
+
+    def test_read_only(self, triangle):
+        with pytest.raises(ValueError):
+            triangle.edge_weight[0] = 0.5
+
+    def test_edge_mask_rejects_unknown_edges(self, triangle):
+        np.testing.assert_array_equal(edge_mask(triangle, [2, 0]), [True, False, True])
+        with pytest.raises(InvalidSelectionError):
+            edge_mask(triangle, [3])
+        with pytest.raises(InvalidSelectionError):
+            edge_mask(triangle, [-1])
