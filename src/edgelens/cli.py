@@ -169,23 +169,30 @@ def gen_dataset_cmd(kind, n_graphs, seed, base_nodes, out_path):
 
 @main.command("train")
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
-@click.option("--layers", default=3, show_default=True, type=int)
-@click.option("--hidden", default=32, show_default=True, type=int)
-@click.option("--classes", default=2, show_default=True, type=int)
-@click.option("--epochs", default=500, show_default=True, type=int)
-@click.option("--lr", default=0.05, show_default=True, type=float)
-@click.option("--momentum", default=0.9, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--layers", default=3, show_default=True, type=click.IntRange(min=1))
+@click.option("--hidden", default=32, show_default=True, type=click.IntRange(min=1))
+@click.option("--classes", default=2, show_default=True, type=click.IntRange(min=2))
+@click.option("--epochs", default=500, show_default=True, type=click.IntRange(min=1))
+@click.option("--lr", default=0.05, show_default=True, type=click.FloatRange(min=0.0))
+@click.option(
+    "--momentum",
+    default=0.9,
+    show_default=True,
+    type=click.FloatRange(min=0.0, max=1.0, max_open=True),
+)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--trace", "trace_path", default=None, type=click.Path())
 def train_cmd(dataset_path, layers, hidden, classes, epochs, lr, momentum, seed, out_path, trace_path):
     """Train a GCN graph classifier and save the model file."""
+    try:
+        # FloatRange lets NaN and inf through; TrainConfig rejects them.
+        cfg = TrainConfig(epochs=epochs, learning_rate=lr, momentum=momentum, seed=seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
 
     def run():
         dataset = data_mod.load_dataset(dataset_path)
-        cfg = TrainConfig(
-            epochs=epochs, learning_rate=lr, momentum=momentum, seed=seed
-        )
         result = train_gcn(
             dataset,
             {"num_layers": layers, "hidden_dim": hidden, "num_classes": classes},

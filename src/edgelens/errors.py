@@ -21,8 +21,8 @@ class ModelFormatError(EdgeLensError):
     """A model file is malformed, has a bad version, or inconsistent shapes."""
 
 
-class DataFormatError(EdgeLensError):
-    """A graph or dataset file is malformed or contains invalid values."""
+class DataFormatError(EdgeLensError, ValueError):
+    """A graph, dataset or dataset file is malformed or contains invalid values."""
 
 
 class NumericalFailureError(EdgeLensError):

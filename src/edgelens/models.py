@@ -156,6 +156,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def inverse_sqrt_degree(a_hat: np.ndarray) -> np.ndarray:
+    """D^-1/2 of the GCN normalization, from dense (..., n, n) adjacencies
+    that already carry their self loops.
+
+    Summing each dense row fixes numpy's pairwise summation order. The
+    trainer takes its degrees from here too, so its sparse normalization
+    matches forward_dense bit for bit on weighted graphs.
+    """
+    return 1.0 / np.sqrt(a_hat.sum(axis=-1))
+
+
 def forward_dense(
     m: ModelSpec,
     adjacency: np.ndarray,
@@ -177,7 +188,7 @@ def forward_dense(
         # same order as d[:, None] * (A + I) * d[None, :], so bitwise equal.
         norm = np.array(adjacency, dtype=np.float64, order="C")
         norm.flat[:: norm.shape[0] + 1] += 1.0
-        d_inv_sqrt = 1.0 / np.sqrt(norm.sum(axis=1))
+        d_inv_sqrt = inverse_sqrt_degree(norm)
         norm *= d_inv_sqrt[:, None]
         norm *= d_inv_sqrt[None, :]
         for layer in m.layers:

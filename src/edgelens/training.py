@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalFailureError
-from .graphs import Graph
-from .models import Classifier, GCNLayer, ModelSpec, forward, softmax
+from .errors import DataFormatError, NumericalFailureError
+from .models import Classifier, GCNLayer, ModelSpec, forward, inverse_sqrt_degree
 
 
 @dataclass(frozen=True)
@@ -28,8 +27,8 @@ class TrainConfig:
     target_train_accuracy: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
@@ -77,6 +76,10 @@ def init_gcn(
     relu layer maps a nonnegative scalar multiple of a vector to another
     one, so the whole network collapses to a single scalar per graph.
     """
+    if num_layers < 1:
+        raise ValueError("num_layers must be >= 1")
+    if hidden_dim < 1:
+        raise ValueError("hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
     dims = [input_dim] + [hidden_dim] * num_layers
     layers = tuple(
@@ -101,62 +104,21 @@ def init_gcn(
     )
 
 
-def _normalized_adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for src, dst, w in g.directed_edges:
-        a[src, dst] = w
-    a_hat = a + np.eye(g.n)
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
-
-
-def _graph_loss_and_grads(
-    m: ModelSpec, norm: np.ndarray, x: np.ndarray, label: int
-) -> tuple[float, int, dict[str, np.ndarray]]:
-    """Cross-entropy loss, predicted class and parameter gradients for one
-    graph. ReLU subgradient at 0 is taken as 0 throughout."""
-    n = x.shape[0]
-    hs = [x]
-    zs = []
-    msgs = []  # norm @ h_{k-1}, cached for weight gradients
-    h = x
-    for layer in m.layers:
-        msg = norm @ h
-        z = msg @ layer.weight + layer.bias
-        h = np.maximum(z, 0.0)
-        msgs.append(msg)
-        zs.append(z)
-        hs.append(h)
-    pooled = h.mean(axis=0) if m.pooling == "mean" else h.sum(axis=0)
-    cls = m.classifier
-    u1 = pooled @ cls.w1 + cls.b1
-    a1 = np.maximum(u1, 0.0)
-    logits = a1 @ cls.w2 + cls.b2
-    probs = softmax(logits)
-    loss = -np.log(max(probs[label], 1e-300))
-    predicted = int(np.argmax(probs))
-
-    dlogits = probs.copy()
-    dlogits[label] -= 1.0
-    grads = {
-        "classifier.w2": np.outer(a1, dlogits),
-        "classifier.b2": dlogits,
-    }
-    da1 = cls.w2 @ dlogits
-    du1 = da1 * (u1 > 0)
-    grads["classifier.w1"] = np.outer(pooled, du1)
-    grads["classifier.b1"] = du1
-    dpooled = cls.w1 @ du1
-    if m.pooling == "mean":
-        dh = np.tile(dpooled / n, (n, 1))
-    else:
-        dh = np.tile(dpooled, (n, 1))
-    for k in range(len(m.layers) - 1, -1, -1):
-        dz = dh * (zs[k] > 0)
-        grads[f"layer{k}.weight"] = msgs[k].T @ dz
-        grads[f"layer{k}.bias"] = dz.sum(axis=0)
-        dh = norm.T @ dz @ m.layers[k].weight.T
-    return loss, predicted, grads
+def _check_dataset(dataset, num_classes: int) -> int:
+    """Validate a training dataset; returns the feature dimension its graphs share."""
+    if not dataset:
+        raise DataFormatError("dataset is empty")
+    input_dim = dataset[0].graph.d
+    for i, rec in enumerate(dataset):
+        if rec.graph.n == 0:
+            raise DataFormatError(f"graph {i} has no nodes")
+        if rec.graph.d != input_dim:
+            raise DataFormatError("all graphs must share one feature dimension")
+        if not 0 <= rec.label < num_classes:
+            raise DataFormatError(
+                f"graph {i}: label {rec.label} outside [0, {num_classes})"
+            )
+    return input_dim
 
 
 def analytic_gradients(
@@ -166,26 +128,11 @@ def analytic_gradients(
     dataset of records carrying `.graph` and `.label`."""
     if m.conv_kind != "gcn":
         raise ValueError("analytic gradients are implemented for GCN only")
-    if not dataset:
-        raise ValueError("dataset is empty")
-    total: dict[str, np.ndarray] = {
-        name: np.zeros_like(arr) for name, arr in m.parameter_arrays().items()
-    }
-    loss_sum = 0.0
-    correct = 0
-    for rec in dataset:
-        g = rec.graph
-        loss, predicted, grads = _graph_loss_and_grads(
-            m, _normalized_adjacency(g), g.features, rec.label
+    if _check_dataset(dataset, m.num_classes) != m.input_dim:
+        raise DataFormatError(
+            f"feature dim {dataset[0].graph.d} != model input dim {m.input_dim}"
         )
-        loss_sum += loss
-        correct += predicted == rec.label
-        for name, grad in grads.items():
-            total[name] += grad
-    k = len(dataset)
-    for name in total:
-        total[name] /= k
-    return loss_sum / k, correct / k, total
+    return _batched_loss_and_grads(m, _Batch(dataset, m))
 
 
 def _model_with_params(m: ModelSpec, params: dict[str, np.ndarray]) -> ModelSpec:
@@ -259,42 +206,91 @@ def finite_difference_check(
 
 
 class _Batch:
-    """All graphs stacked into one block-diagonal system so an epoch is a
-    handful of sparse matmuls instead of a Python loop over the dataset."""
+    """All graphs stacked into one block-diagonal system, so an epoch is a
+    handful of sparse matmuls instead of a Python loop over the dataset.
 
-    def __init__(self, dataset, pooling: str):
-        self.norm = sp.block_diag(
-            [_normalized_adjacency(rec.graph) for rec in dataset], format="csr"
+    `norm` holds only the nonzeros of each graph's D^-1/2 (A + I) D^-1/2,
+    columns sorted within each row: the values and summation order of the
+    dense blocks without their zeros. The batch also owns the per-node
+    arrays an epoch writes, shaped for the layers of `m`, and keeps them
+    between epochs: freed at the end of an epoch, their pages go back to
+    the kernel and the next epoch faults them in again.
+    """
+
+    def __init__(self, dataset, m: ModelSpec):
+        graphs = [rec.graph for rec in dataset]
+        sizes = np.array([g.n for g in graphs])
+        offsets = np.cumsum(sizes) - sizes
+        n_total = int(sizes.sum())
+        edge_graph = np.repeat(
+            np.arange(len(graphs)), [g.num_undirected_edges for g in graphs]
         )
-        self.x = np.vstack([rec.graph.features for rec in dataset])
+        u = np.concatenate([g.edge_u for g in graphs])
+        v = np.concatenate([g.edge_v for g in graphs])
+        w = np.concatenate([g.edge_weight for g in graphs])
+
+        # Degrees as forward_dense takes them, from the dense self-looped
+        # blocks, stacked by graph size: a degree summed any other way
+        # differs in the last bit on weighted graphs.
+        d_inv_sqrt = np.empty(n_total)
+        for n in np.unique(sizes):
+            members = np.flatnonzero(sizes == n)
+            kept = sizes[edge_graph] == n
+            block = np.searchsorted(members, edge_graph[kept])
+            a_hat = np.zeros((len(members), n, n))
+            a_hat[:, np.arange(n), np.arange(n)] = 1.0
+            a_hat[block, u[kept], v[kept]] = w[kept]
+            a_hat[block, v[kept], u[kept]] = w[kept]
+            d_inv_sqrt[offsets[members, None] + np.arange(n)] = inverse_sqrt_degree(a_hat)
+
+        nodes = np.arange(n_total)
+        shift = offsets[edge_graph]
+        rows = np.concatenate((u + shift, v + shift, nodes))
+        cols = np.concatenate((v + shift, u + shift, nodes))
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        # (d_row * a) * d_col, the order the dense normalization scales in
+        values = d_inv_sqrt[rows] * np.concatenate((w, w, np.ones(n_total)))[order]
+        values *= d_inv_sqrt[cols]
+        indptr = np.zeros(n_total + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_total), out=indptr[1:])
+        self.norm = sp.csr_matrix((values, cols, indptr), shape=(n_total, n_total))
+
+        self.x = np.vstack([g.features for g in graphs])
         self.labels = np.array([rec.label for rec in dataset])
-        sizes = [rec.graph.n for rec in dataset]
-        g_count = len(dataset)
-        rows = np.repeat(np.arange(g_count), sizes)
-        if pooling == "mean":
-            vals = np.concatenate([np.full(n, 1.0 / n) for n in sizes])
+        if m.pooling == "mean":
+            weights = np.repeat(1.0 / sizes, sizes)
         else:
-            vals = np.ones(self.x.shape[0])
+            weights = np.ones(n_total)
         self.pool = sp.csr_matrix(
-            (vals, (rows, np.arange(self.x.shape[0]))),
-            shape=(g_count, self.x.shape[0]),
+            (weights, nodes, np.append(offsets, n_total)),
+            shape=(len(graphs), n_total),
         )
+
+        # msgs[k] = norm @ h_{k-1}; the layer-0 message does not depend on
+        # the parameters. h[k] is layer k's activation, back[k] the backward
+        # product dz_k @ W_k.T (k >= 1).
+        widths = [layer.weight.shape[1] for layer in m.layers]
+        self.msgs = [self.norm @ self.x] + [None] * (len(widths) - 1)
+        self.h = [np.empty((n_total, width)) for width in widths]
+        self.back = [None] + [np.empty((n_total, width)) for width in widths[:-1]]
 
 
 def _batched_loss_and_grads(
     m: ModelSpec, batch: _Batch
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Mean loss, accuracy and mean-cross-entropy gradients over the batch;
-    same math as summing _graph_loss_and_grads over every graph."""
-    h = batch.x
-    msgs = []
-    zs = []
-    for layer in m.layers:
-        msg = batch.norm @ h
-        z = msg @ layer.weight + layer.bias
-        h = np.maximum(z, 0.0)
-        msgs.append(msg)
-        zs.append(z)
+    """Mean loss, accuracy and mean-cross-entropy gradients over the batch.
+
+    ReLU subgradient at 0 is taken as 0 throughout. Overwrites the batch's
+    buffers; the returned gradients are fresh arrays.
+    """
+    for k, layer in enumerate(m.layers):
+        if k > 0:
+            batch.msgs[k] = batch.norm @ batch.h[k - 1]
+        h = batch.h[k]
+        np.matmul(batch.msgs[k], layer.weight, out=h)
+        h += layer.bias
+        np.maximum(h, 0.0, out=h)
     pooled = batch.pool @ h
     cls = m.classifier
     u1 = pooled @ cls.w1 + cls.b1
@@ -320,11 +316,12 @@ def _batched_loss_and_grads(
     grads["classifier.b1"] = du1.sum(axis=0)
     dh = batch.pool.T @ (du1 @ cls.w1.T)
     for k in range(len(m.layers) - 1, -1, -1):
-        dz = dh * (zs[k] > 0)
-        grads[f"layer{k}.weight"] = msgs[k].T @ dz
+        dz = dh
+        dz *= batch.h[k] > 0  # relu(z) > 0 exactly where z > 0
+        grads[f"layer{k}.weight"] = batch.msgs[k].T @ dz
         grads[f"layer{k}.bias"] = dz.sum(axis=0)
         if k > 0:
-            dh = batch.norm.T @ (dz @ m.layers[k].weight.T)
+            dh = batch.norm.T @ np.matmul(dz, m.layers[k].weight.T, out=batch.back[k])
     return loss, accuracy, grads
 
 
@@ -334,28 +331,19 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
     arch: {"num_layers", "hidden_dim", "num_classes", "pooling"(optional)}.
     Stops early once train accuracy reaches cfg.target_train_accuracy.
     """
-    if not dataset:
-        raise ValueError("dataset is empty")
-    input_dim = dataset[0].graph.d
-    for rec in dataset:
-        if rec.graph.d != input_dim:
-            raise ValueError("all graphs must share one feature dimension")
-        if not 0 <= rec.label < arch["num_classes"]:
-            raise ValueError(f"label {rec.label} out of range")
-    pooling = arch.get("pooling", "mean")
     model = init_gcn(
-        input_dim=input_dim,
+        input_dim=_check_dataset(dataset, arch["num_classes"]),
         num_layers=arch["num_layers"],
         hidden_dim=arch["hidden_dim"],
         num_classes=arch["num_classes"],
-        pooling=pooling,
+        pooling=arch.get("pooling", "mean"),
         seed=cfg.seed,
         init_scale=cfg.init_scale,
     )
     params = {name: arr.copy() for name, arr in model.parameter_arrays().items()}
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     trace: list[TraceEntry] = []
-    batch = _Batch(dataset, pooling)
+    batch = _Batch(dataset, model)
     for epoch in range(cfg.epochs):
         current = _model_with_params(model, params)
         loss, accuracy, grads = _batched_loss_and_grads(current, batch)

@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from edgelens import gen_ba2motifs_mini, init_gcn, save_dataset, save_graph, save_model
+from edgelens import (
+    Graph,
+    gen_ba2motifs_mini,
+    init_gcn,
+    save_dataset,
+    save_graph,
+    save_model,
+)
+from edgelens.data import DatasetRecord
 from edgelens.cli import main
 
 
@@ -219,6 +228,58 @@ class TestTrainCommand:
         assert json.loads(out.read_text())["version"] == 1
         assert len(trace.read_text().strip().split("\n")) == 3
         assert "accuracy=" in result.output
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--epochs", "0"),
+            ("--lr", "-1"),
+            ("--lr", "nan"),
+            ("--momentum", "1.0"),
+            ("--momentum", "-0.5"),
+            ("--classes", "1"),
+            ("--layers", "0"),
+            ("--hidden", "0"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, runner, workspace, option, value):
+        out = workspace["dir"] / "never.json"
+        result = runner.invoke(
+            main,
+            ["train", "--dataset", str(workspace["dataset"]), option, value,
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert option in result.output or "must be" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", ["label", "feature-dims", "no-nodes"])
+    def test_dataset_problem_is_data_error(self, runner, tmp_path, problem):
+        g = Graph.undirected(np.ones((3, 2)), [(0, 1), (1, 2)])
+        graphs, labels = [g, g], [0, 1]
+        if problem == "label":
+            labels = [0, 2]
+        elif problem == "feature-dims":
+            graphs = [g, Graph.undirected(np.ones((3, 4)), [(0, 1), (1, 2)])]
+        dataset = tmp_path / "bad.jsonl"
+        save_dataset(
+            [
+                DatasetRecord(graph=x, label=y, gt_edge_mask=(1, 0), motif_count=1)
+                for x, y in zip(graphs, labels)
+            ],
+            dataset,
+        )
+        if problem == "no-nodes":
+            line = json.loads(dataset.read_text().splitlines()[0])
+            line["graph"].update(n=0, features=[], edges=[])
+            line["gt_edge_mask"] = []
+            dataset.write_text(json.dumps(line) + "\n")
+        result = runner.invoke(
+            main, ["train", "--dataset", str(dataset), "--out", str(tmp_path / "m.json")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
 
 
 class TestBenchCommand:

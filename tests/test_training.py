@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgelens import (
+    DataFormatError,
     Graph,
     TrainConfig,
     analytic_gradients,
@@ -43,6 +44,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_rejects_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=lr)
+
 
 class TestGradients:
     def test_finite_difference_agreement(self):
@@ -83,6 +89,11 @@ class TestGradients:
         with pytest.raises(ValueError):
             analytic_gradients(m, [])
 
+    def test_feature_dim_mismatch_is_data_error(self):
+        m = init_gcn(4, 2, 4, 2)
+        with pytest.raises(DataFormatError):
+            analytic_gradients(m, tiny_dataset(feature_dim=3))
+
 
 class TestInit:
     def test_deterministic(self):
@@ -102,6 +113,11 @@ class TestInit:
         m = init_gcn(3, 3, 16, 2, seed=1, init_scale=0.2)
         for _, arr in m.parameter_arrays().items():
             assert np.all(np.abs(arr) <= 0.2)
+
+    @pytest.mark.parametrize("layers, hidden", [(0, 4), (-1, 4), (2, 0)])
+    def test_rejects_empty_architecture(self, layers, hidden):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            init_gcn(3, layers, hidden, 2)
 
     def test_biases_not_all_zero(self):
         m = init_gcn(3, 2, 4, 2, seed=0)
@@ -177,3 +193,30 @@ class TestTrainGCN:
         ]
         with pytest.raises(ValueError):
             train_gcn(ds, ARCH, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("key", ["num_layers", "hidden_dim"])
+    def test_empty_architecture_rejected(self, key):
+        # a raw IndexError for 0 layers, a constant model for 0 hidden units
+        arch = {**ARCH, key: 0}
+        with pytest.raises(ValueError, match="must be >= 1"):
+            train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1))
+
+    def test_dataset_problems_are_data_errors(self):
+        g = Graph.undirected(np.ones((2, 3)), [(0, 1)])
+        g4 = Graph.undirected(np.ones((2, 4)), [(0, 1)])
+        empty = Graph(
+            features=np.zeros((0, 3)), directed_edges=(), undirected_pairs=(), node_ids=()
+        )
+        record = lambda graph, label: DatasetRecord(
+            graph=graph, label=label, gt_edge_mask=(0,) * graph.num_undirected_edges,
+            motif_count=0,
+        )
+        for ds in (
+            [],
+            [record(g, 2)],
+            [record(g, -1)],
+            [record(g, 0), record(g4, 1)],
+            [record(g, 0), record(empty, 1)],
+        ):
+            with pytest.raises(DataFormatError):
+                train_gcn(ds, ARCH, TrainConfig(epochs=1))
