@@ -52,11 +52,9 @@ from .explain import (
 from .graphs import (
     Graph,
     InducedSubgraph,
-    SubgraphSelection,
     connected_components,
     enumerate_connected_edge_subgraphs,
     exhaustiveness,
-    induce,
     induce_by_edges,
     induce_by_nodes,
     induce_by_nodes_and_edges,

@@ -13,8 +13,8 @@ import click
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import DataFormatError, EdgeLensError, ModelFormatError, NumericalFailureError
+from .explain import METHODS, save_explanation
 from .explain import explain as run_explain
-from .explain import save_explanation
 from .graphs import load_graph
 from .models import load_model, save_model
 from .training import TrainConfig, train_gcn
@@ -37,6 +37,28 @@ def _guard(fn):
         sys.exit(EXIT_DATA_ERROR)
 
 
+def _comma_list(item_type: click.ParamType):
+    """Callback parsing a comma-separated option value item by item, so a
+    bad item is a usage error naming the option."""
+
+    def parse(ctx, param, value):
+        items = [s.strip() for s in value.split(",")]
+        return [item_type.convert(s, param, ctx) for s in items if s]
+
+    return parse
+
+
+class _SparsityLevel(click.ParamType):
+    # click.FloatRange lets NaN through.
+    name = "level"
+
+    def convert(self, value, param, ctx):
+        level = click.FLOAT.convert(value, param, ctx)
+        if not 0.0 <= level <= 1.0:
+            self.fail(f"sparsity level {value} outside [0, 1]", param, ctx)
+        return level
+
+
 @click.group()
 def main():
     """Edge-level GNN explanation toolkit."""
@@ -50,7 +72,7 @@ def main():
     "--method",
     default="linear-gradient",
     show_default=True,
-    type=click.Choice(["linear-gradient", "sa", "ig"]),
+    type=click.Choice(METHODS),
 )
 @click.option(
     "--k-range", default="full", show_default=True, type=click.Choice(["full", "paper"])
@@ -90,8 +112,18 @@ def explain_cmd(model_path, graph_path, target_class, method, k_range, out_path,
 @main.command("evaluate")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
-@click.option("--methods", default="linear-gradient,sa,ig", show_default=True)
-@click.option("--levels", default="0.5,0.6,0.7,0.8,0.9", show_default=True)
+@click.option(
+    "--methods",
+    default=",".join(METHODS),
+    show_default=True,
+    callback=_comma_list(click.Choice(METHODS)),
+)
+@click.option(
+    "--levels",
+    default="0.5,0.6,0.7,0.8,0.9",
+    show_default=True,
+    callback=_comma_list(_SparsityLevel()),
+)
 @click.option("--k-range", default="full", show_default=True, type=click.Choice(["full", "paper"]))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def evaluate_cmd(model_path, dataset_path, methods, levels, k_range, out_path):
@@ -100,16 +132,14 @@ def evaluate_cmd(model_path, dataset_path, methods, levels, k_range, out_path):
     def run():
         m = load_model(model_path)
         dataset = data_mod.load_dataset(dataset_path)
-        method_list = [s.strip() for s in methods.split(",") if s.strip()]
-        level_list = [float(s) for s in levels.split(",") if s.strip()]
         curves = {
             method: eval_mod.curve_to_obj(
-                eval_mod.fidelity_curve(m, dataset, method, level_list)
+                eval_mod.fidelity_curve(m, dataset, method, levels)
             )
-            for method in method_list
+            for method in methods
         }
         comparison = eval_mod.summaries_to_obj(
-            eval_mod.compare_methods(m, dataset, method_list, k_range)
+            eval_mod.compare_methods(m, dataset, methods, k_range)
         )
         eval_mod.write_report({"curves": curves, "comparison": comparison}, out_path)
         click.echo(eval_mod.format_table(comparison), nl=False)
@@ -145,22 +175,24 @@ def oracle_cmd(model_path, dataset_path, cap, out_path):
     required=True,
     type=click.Choice(["ba2motifs-mini", "varsize"]),
 )
-@click.option("--n", "n_graphs", required=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--n", "n_graphs", required=True, type=click.IntRange(min=1))
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--base-nodes", default=None, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen_dataset_cmd(kind, n_graphs, seed, base_nodes, out_path):
     """Generate a synthetic corpus with ground-truth edge masks."""
+    if kind == "ba2motifs-mini":
+        generate, default_base = data_mod.gen_ba2motifs_mini, 20
+    else:
+        generate, default_base = data_mod.gen_varsize_motifs, 12
+    if base_nodes is None:
+        base_nodes = default_base
+    try:
+        records = generate(n_graphs, base_nodes=base_nodes, seed=seed)
+    except ValueError as exc:  # the generators' argument checks
+        raise click.BadParameter(str(exc), param_hint="--base-nodes") from None
 
     def run():
-        if kind == "ba2motifs-mini":
-            records = data_mod.gen_ba2motifs_mini(
-                n_graphs, base_nodes=base_nodes or 20, seed=seed
-            )
-        else:
-            records = data_mod.gen_varsize_motifs(
-                n_graphs, base_nodes=base_nodes or 12, seed=seed
-            )
         data_mod.save_dataset(records, out_path)
         click.echo(f"checksum={data_mod.dataset_checksum(records)}")
 
@@ -211,16 +243,20 @@ def train_cmd(dataset_path, layers, hidden, classes, epochs, lr, momentum, seed,
 
 @main.command("bench")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--sizes", default="5,10,20,50,100", show_default=True)
-@click.option("--reps", default=3, show_default=True, type=int)
+@click.option(
+    "--sizes",
+    default="5,10,20,50,100",
+    show_default=True,
+    callback=_comma_list(click.IntRange(min=1)),
+)
+@click.option("--reps", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", default=None, type=click.Path())
 def bench_cmd(model_path, sizes, reps, out_path):
     """Forward-pass accounting and wall-clock timing on path graphs."""
 
     def run():
         m = load_model(model_path)
-        size_list = [int(s) for s in sizes.split(",") if s.strip()]
-        report = eval_mod.timing_report(m, size_list, reps=reps)
+        report = eval_mod.timing_report(m, sizes, reps=reps)
         obj = eval_mod.timing_report_to_obj(report)
         if out_path:
             eval_mod.write_report(obj, out_path)

@@ -102,6 +102,8 @@ def gen_varsize_motifs(
     graphs carry none."""
     if max_motifs < 1:
         raise ValueError("max_motifs must be >= 1")
+    if base_nodes < 2:
+        raise ValueError("base_nodes must be >= 2")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_graphs):

@@ -16,20 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .explain import (
+    METHODS,
     Explanation,
     brute_force_best_subgraph,
     explain,
     fidelity_minus,
     fidelity_plus,
-    ig_edge_scores,
-    linear_gradient_scores,
     rank_edges,
-    sa_edge_scores,
+    score_edges,
 )
 from .graphs import Graph
 from .models import ModelSpec, forward
-
-METHODS = ("linear-gradient", "sa", "ig")
 
 
 @dataclass(frozen=True)
@@ -39,16 +36,6 @@ class CurvePoint:
     fidelity_minus: float
     overall: float
     n_instances: int
-
-
-def _method_scores(m: ModelSpec, g: Graph, c: int, method: str, counter=None):
-    if method == "linear-gradient":
-        return linear_gradient_scores(m, g, c, counter=counter)
-    if method == "sa":
-        return sa_edge_scores(m, g, c, counter=counter)
-    if method == "ig":
-        return ig_edge_scores(m, g, c, counter=counter)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def fidelity_curve(
@@ -65,7 +52,7 @@ def fidelity_curve(
         g = rec.graph
         original = forward(m, g)
         c = original.predicted_class
-        ranked = rank_edges(_method_scores(m, g, c, method))
+        ranked = rank_edges(score_edges(m, g, c, method, original=original))
         rankings.append((g, c, original, ranked))
     points = []
     for level in levels:

@@ -30,6 +30,8 @@ from .models import (
     forward_with_override,
 )
 
+METHODS = ("linear-gradient", "sa", "ig")
+
 
 @dataclass(frozen=True)
 class EdgeScores:
@@ -168,7 +170,7 @@ def ig_edge_scores(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     mcount = g.num_undirected_edges
-    weights = np.array([g.undirected_weight(e) for e in range(mcount)])
+    weights = g.edge_weight
     values = np.zeros(mcount)
     for j in range(1, steps + 1):
         t = j / steps
@@ -185,6 +187,31 @@ def ig_edge_scores(
             ]
             values[e] += p_t - p_pulled
     return EdgeScores(values=values, target_class=target_class, method="ig-fd")
+
+
+def score_edges(
+    m: ModelSpec,
+    g: Graph,
+    target_class: int,
+    method: str,
+    base_weight: float = 0.0,
+    sa_step: float = 1e-3,
+    ig_steps: int = 50,
+    counter: ForwardCounter | None = None,
+    original: Prediction | None = None,
+) -> EdgeScores:
+    """Edge scores by one of METHODS.
+
+    The scorers are looked up by module-global name on each call, so a
+    wrapper installed on this module's attribute sees every call.
+    """
+    if method == "linear-gradient":
+        return linear_gradient_scores(m, g, target_class, base_weight, counter, original)
+    if method == "sa":
+        return sa_edge_scores(m, g, target_class, sa_step, counter)
+    if method == "ig":
+        return ig_edge_scores(m, g, target_class, ig_steps, base_weight, counter)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
@@ -338,18 +365,14 @@ def explain(
     counter = ForwardCounter()
     original = forward(m, g, counter)
     c = original.predicted_class if target_class == "auto" else int(target_class)
-    if method == "linear-gradient":
-        scores = linear_gradient_scores(m, g, c, base_weight, counter, original)
-    elif method == "sa":
-        scores = sa_edge_scores(m, g, c, sa_step, counter)
-    elif method == "ig":
-        scores = ig_edge_scores(m, g, c, ig_steps, base_weight, counter)
-    elif method == "external":
+    if method == "external":
         if external_scores is None:
             raise ValueError("method='external' requires external_scores")
         scores = external_scores
     else:
-        raise ValueError(f"unknown method {method!r}")
+        scores = score_edges(
+            m, g, c, method, base_weight, sa_step, ig_steps, counter, original
+        )
     ranked = rank_edges(scores)
     return linear_search(
         m,

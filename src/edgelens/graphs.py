@@ -1,17 +1,15 @@
 """Graph representation, subgraph inducing techniques, and structural metrics.
 
-Graphs are stored as a directed weighted edge list in which every edge is
-paired with its reverse. Selections, rankings and sparsity all operate on
-the undirected pairing; the directed list is an encoding detail. Each graph
-also derives undirected endpoint arrays and an (E,) weight array once, which
-the forward engine indexes instead of walking the edge list.
+A graph stores each undirected edge once, in parallel read-only (E,) arrays
+of endpoints `edge_u < edge_v` and weights `edge_weight`. Edge i is the i-th
+input edge; selections, rankings and sparsity all use that index, and the
+forward engine writes both directions of the adjacency from the arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,89 +24,63 @@ from .errors import (
 GRAPH_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """An attributed graph instance.
+    """An attributed undirected graph.
 
     features: (n, d) float64 matrix, row v is the feature vector of node v.
-    directed_edges: tuple of (src, dst, weight), weight in [0, 1].
-    undirected_pairs: tuple of (i_fwd, i_rvs) index pairs into directed_edges;
-        the two directed edges realizing one undirected edge. Every directed
-        edge belongs to exactly one pair and both carry the same weight.
-    node_ids: stable node identifiers, position = internal index.
+    edge_u, edge_v: (E,) int64 endpoints of each undirected edge, stored
+        with edge_u < edge_v whichever order they were given in.
+    edge_weight: (E,) float64 edge weights in [0, 1].
 
-    Derived, read-only, indexed by undirected edge: edge_u and edge_v are
-    the endpoints with edge_u < edge_v, edge_weight the weight.
+    The edge arrays are read-only. Graphs compare by identity: array fields
+    would make `==` elementwise.
     """
 
     features: np.ndarray
-    directed_edges: tuple[tuple[int, int, float], ...]
-    undirected_pairs: tuple[tuple[int, int], ...]
-    node_ids: tuple[int, ...]
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_weight: np.ndarray
     label: int | None = None
-    edge_u: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_v: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        if feats.ndim != 2 or feats.shape[0] != len(self.node_ids):
-            raise DataFormatError(
-                f"features must be (n, d) with n={len(self.node_ids)}, got {feats.shape}"
-            )
+        if feats.ndim != 2:
+            raise DataFormatError(f"features must be (n, d), got {feats.shape}")
         if not np.all(np.isfinite(feats)):
             raise DataFormatError("features contain NaN/Inf")
-        object.__setattr__(self, "features", feats)
-        n = self.n
-        seen = set()
-        for src, dst, w in self.directed_edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise DataFormatError(f"edge ({src}, {dst}) out of range for n={n}")
-            if src == dst:
-                raise DataFormatError("self-loops are not allowed in input graphs")
-            if not (math.isfinite(w) and 0.0 <= w <= 1.0):
-                raise DataFormatError(f"edge weight {w} outside [0, 1]")
-            if (src, dst) in seen:
-                raise DataFormatError(f"duplicate directed edge ({src}, {dst})")
-            seen.add((src, dst))
-        used = set()
-        us, vs, ws = [], [], []
-        for i_fwd, i_rvs in self.undirected_pairs:
-            for i in (i_fwd, i_rvs):
-                if not 0 <= i < len(self.directed_edges):
-                    raise DataFormatError(f"pair index {i} out of range")
-                if i in used:
-                    raise DataFormatError(f"directed edge {i} appears in two pairs")
-                used.add(i)
-            sf, df, wf = self.directed_edges[i_fwd]
-            sr, dr, wr = self.directed_edges[i_rvs]
-            if (sf, df) != (dr, sr):
-                raise DataFormatError("paired edges must have swapped endpoints")
-            if wf != wr:
-                raise DataFormatError(
-                    f"edge ({sf}, {df}) has weight {wf} one way and {wr} the other"
-                )
-            us.append(min(sf, df))
-            vs.append(max(sf, df))
-            ws.append(wf)
-        if len(used) != len(self.directed_edges):
-            unpaired = min(set(range(len(self.directed_edges))) - used)
-            src, dst, _ = self.directed_edges[unpaired]
+        a = np.asarray(self.edge_u, dtype=np.int64)
+        b = np.asarray(self.edge_v, dtype=np.int64)
+        w = np.array(self.edge_weight, dtype=np.float64)
+        if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
             raise DataFormatError(
-                f"directed edge ({src}, {dst}) belongs to no undirected pair"
+                f"edge arrays must be 1-D of equal length, got "
+                f"{a.shape}, {b.shape} and {w.shape}"
             )
-        for name, values, dtype in (
-            ("edge_u", us, np.int64),
-            ("edge_v", vs, np.int64),
-            ("edge_weight", ws, np.float64),
-        ):
-            arr = np.array(values, dtype=dtype)
+        n = feats.shape[0]
+        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+        if outside.any():
+            i = np.argmax(outside)
+            raise DataFormatError(f"edge ({a[i]}, {b[i]}) out of range for n={n}")
+        if np.any(a == b):
+            raise DataFormatError("self-loops are not allowed in input graphs")
+        valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
+        if not valid.all():
+            raise DataFormatError(f"edge weight {w[np.argmin(valid)]} outside [0, 1]")
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((v, u))
+        repeated = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+        if repeated.any():
+            i = order[1:][np.argmax(repeated)]
+            raise DataFormatError(f"duplicate undirected edge ({u[i]}, {v[i]})")
+        for name, arr in (("edge_u", u), ("edge_v", v), ("edge_weight", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "features", feats)
 
     @property
     def n(self) -> int:
-        return len(self.node_ids)
+        return self.features.shape[0]
 
     @property
     def d(self) -> int:
@@ -116,15 +88,14 @@ class Graph:
 
     @property
     def num_undirected_edges(self) -> int:
-        return len(self.undirected_pairs)
+        return len(self.edge_u)
 
     def undirected_endpoints(self, i: int) -> tuple[int, int]:
         """Endpoints (u, v) with u < v of undirected edge i."""
-        src, dst, _ = self.directed_edges[self.undirected_pairs[i][0]]
-        return (src, dst) if src < dst else (dst, src)
+        return int(self.edge_u[i]), int(self.edge_v[i])
 
     def undirected_weight(self, i: int) -> float:
-        return self.directed_edges[self.undirected_pairs[i][0]][2]
+        return float(self.edge_weight[i])
 
     @staticmethod
     def undirected(
@@ -132,46 +103,10 @@ class Graph:
         edges: Sequence[tuple[int, int]] | Sequence[tuple[int, int, float]],
         label: int | None = None,
     ) -> "Graph":
-        """Build an undirected graph; each input edge yields a fwd/rvs pair."""
-        directed: list[tuple[int, int, float]] = []
-        pairs: list[tuple[int, int]] = []
-        for e in edges:
-            if len(e) == 3:
-                u, v, w = e
-            else:
-                u, v = e
-                w = 1.0
-            u, v = (int(u), int(v)) if u <= v else (int(v), int(u))
-            directed.append((u, v, float(w)))
-            directed.append((v, u, float(w)))
-            pairs.append((len(directed) - 2, len(directed) - 1))
-        feats = np.asarray(features, dtype=np.float64)
-        return Graph(
-            features=feats,
-            directed_edges=tuple(directed),
-            undirected_pairs=tuple(pairs),
-            node_ids=tuple(range(feats.shape[0])),
-            label=label,
-        )
-
-
-@dataclass(frozen=True)
-class SubgraphSelection:
-    """A node-set / edge-set choice feeding one of the inducing techniques."""
-
-    mode: str  # "node" | "edge" | "node-and-edge"
-    node_set: frozenset[int] = frozenset()
-    edge_set: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.mode not in ("node", "edge", "node-and-edge"):
-            raise InvalidSelectionError(f"unknown mode {self.mode!r}")
-        if self.mode == "node" and self.edge_set:
-            raise InvalidSelectionError("mode=node requires an empty edge set")
-        if self.mode == "edge" and self.node_set:
-            raise InvalidSelectionError("mode=edge requires an empty node set")
-        object.__setattr__(self, "node_set", frozenset(self.node_set))
-        object.__setattr__(self, "edge_set", frozenset(self.edge_set))
+        """Build a graph from (u, v) or (u, v, w) tuples; w defaults to 1."""
+        rows = [(*e, 1.0) if len(e) == 2 else tuple(e) for e in edges]
+        u, v, w = zip(*rows) if rows else ((), (), ())
+        return Graph(features, u, v, w, label)
 
 
 @dataclass(frozen=True)
@@ -299,14 +234,6 @@ def induce_by_nodes_and_edges(
         if set(g.undirected_endpoints(i)) <= vs
     )
     return _build(g, nodes, edges)
-
-
-def induce(g: Graph, sel: SubgraphSelection) -> InducedSubgraph:
-    if sel.mode == "node":
-        return induce_by_nodes(g, sel.node_set)
-    if sel.mode == "edge":
-        return induce_by_edges(g, sel.edge_set)
-    return induce_by_nodes_and_edges(g, sel.node_set, sel.edge_set)
 
 
 def connected_components(g: Graph) -> tuple[Component, ...]:

@@ -256,18 +256,9 @@ def forward_on_induced(
     m: ModelSpec,
     s: InducedSubgraph,
     counter: ForwardCounter | None = None,
-    empty_policy: str = "isolated-nodes",
 ) -> Prediction:
-    """Forward on the standalone graph built from an induced subgraph.
-
-    Empty subgraphs follow `empty_policy`: "isolated-nodes" evaluates all
-    parent nodes under a zero adjacency, "reject" raises.
-    """
-    if s.num_nodes == 0:
-        if empty_policy == "reject":
-            raise NumericalFailureError("forward on an empty subgraph rejected")
-        if empty_policy != "isolated-nodes":
-            raise ValueError(f"unknown empty policy {empty_policy!r}")
+    """Forward on the standalone graph built from an induced subgraph; an
+    empty subgraph evaluates all parent nodes under a zero adjacency."""
     nodes = np.array(s.nodes, dtype=np.int64)
     return forward_on_edges(m, s.parent, edge_mask(s.parent, s.edges), counter, nodes)
 

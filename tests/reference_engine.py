@@ -1,7 +1,7 @@
 """Loop-built reference for the forward engine, used only by the tests.
 
 It is the engine as it stood before the edge-array rewrite: the adjacency is
-filled one directed edge at a time, a fidelity pass first builds the
+filled one undirected edge at a time, a fidelity pass first builds the
 edge-induced subgraph with `induce_by_edges` and then fills the subgraph's
 adjacency edge by edge, and the GCN normalization is the plain expression
 d[:, None] * (A + I) * d[None, :]. The library must match it bitwise.
@@ -19,12 +19,11 @@ from edgelens.models import ModelSpec
 
 def loop_adjacency(g: Graph, overrides=None) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for src, dst, w in g.directed_edges:
-        a[src, dst] = w
+    for u, v, w in zip(g.edge_u, g.edge_v, g.edge_weight):
+        a[u, v] = a[v, u] = w
     for idx, w in (overrides or {}).items():
-        for di in g.undirected_pairs[idx]:
-            src, dst, _ = g.directed_edges[di]
-            a[src, dst] = float(w)
+        u, v = g.undirected_endpoints(idx)
+        a[u, v] = a[v, u] = float(w)
     return a
 
 

@@ -20,8 +20,8 @@ from edgelens.training import TraceEntry, TrainConfig, TrainResult, _model_with_
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for src, dst, w in g.directed_edges:
-        a[src, dst] = w
+    for u, v, w in zip(g.edge_u, g.edge_v, g.edge_weight):
+        a[u, v] = a[v, u] = w
     a_hat = a + np.eye(g.n)
     d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]

@@ -153,6 +153,27 @@ class TestEvaluateCommand:
         assert [row["method"] for row in obj["comparison"]] == ["linear-gradient", "sa"]
         assert "mean_overall" in result.output
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--methods", "foo"),
+            ("--methods", "sa,foo"),
+            ("--levels", "x"),
+            ("--levels", "1.5"),
+            ("--levels", "0.5,nan"),
+        ],
+    )
+    def test_bad_list_item_is_usage_error(self, runner, workspace, option, value):
+        out = workspace["dir"] / "never.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--model", str(workspace["model"]),
+             "--dataset", str(workspace["dataset"]), option, value, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_report(self, runner, workspace):
@@ -196,6 +217,23 @@ class TestGenDatasetCommand:
             assert result.exit_code == 0, result.output
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "ba2motifs-mini", "--n", "2", "--base-nodes", "2"],
+            ["--kind", "varsize", "--n", "2", "--base-nodes", "0"],
+            ["--kind", "varsize", "--n", "-1"],
+            ["--kind", "varsize", "--n", "0"],
+            ["--kind", "varsize", "--n", "2", "--seed", "-1"],
+        ],
+    )
+    def test_bad_argument_is_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "never.jsonl"
+        result = runner.invoke(main, ["gen-dataset", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
     def test_unknown_kind_rejected(self, runner, tmp_path):
         result = runner.invoke(
@@ -291,3 +329,14 @@ class TestBenchCommand:
         )
         assert result.exit_code == 0, result.output
         assert "fit: passes = 3.0000 * |E| + 1.0000" in result.output
+
+    @pytest.mark.parametrize(
+        "option, value", [("--reps", "0"), ("--sizes", "0"), ("--sizes", "3,x")]
+    )
+    def test_bad_option_is_usage_error(self, runner, workspace, option, value):
+        result = runner.invoke(
+            main, ["bench", "--model", str(workspace["model"]), option, value]
+        )
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert "nan" not in result.output

@@ -160,7 +160,8 @@ class TestDatasetIO:
         assert [r.label for r in back] == [r.label for r in records]
         for a, b in zip(back, records):
             np.testing.assert_array_equal(a.graph.features, b.graph.features)
-            assert a.graph.directed_edges == b.graph.directed_edges
+            for name in ("edge_u", "edge_v", "edge_weight"):
+                np.testing.assert_array_equal(getattr(a.graph, name), getattr(b.graph, name))
 
     def test_save_then_save_is_byte_identical(self, tmp_path):
         records = gen_varsize_motifs(6, seed=11)

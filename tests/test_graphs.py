@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -266,8 +267,8 @@ class TestGraphIO:
         text = graph_to_json(g)
         back = graph_from_json(text)
         assert graph_to_json(back) == text
-        np.testing.assert_array_equal(back.features, g.features)
-        assert back.directed_edges == g.directed_edges
+        for name in ("features", "edge_u", "edge_v", "edge_weight"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(g, name))
 
     def test_file_round_trip(self, tmp_path, triangle):
         path = tmp_path / "g.json"
@@ -292,24 +293,6 @@ class TestGraphIO:
         with pytest.raises(DataFormatError):
             Graph.undirected(np.ones((2, 1)), [(0, 0)])
 
-    def test_rejects_pair_with_two_weights(self):
-        with pytest.raises(DataFormatError, match="one way"):
-            Graph(
-                features=np.ones((2, 1)),
-                directed_edges=((0, 1, 1.0), (1, 0, 0.2)),
-                undirected_pairs=((0, 1),),
-                node_ids=(0, 1),
-            )
-
-    def test_rejects_unpaired_directed_edge(self):
-        with pytest.raises(DataFormatError, match="no undirected pair"):
-            Graph(
-                features=np.ones((3, 1)),
-                directed_edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)),
-                undirected_pairs=((0, 1),),
-                node_ids=(0, 1, 2),
-            )
-
     def test_rejects_directed_json(self):
         with pytest.raises(DataFormatError, match="undirected"):
             graph_from_json(
@@ -319,6 +302,34 @@ class TestGraphIO:
 
 
 class TestEdgeArrays:
+    @pytest.mark.parametrize(
+        "edge_u, edge_v, edge_weight, match",
+        [
+            ([0, 1], [1], [1.0, 1.0], "equal length"),
+            ([0, 1], [1, 0], [1.0, 1.0], "duplicate undirected edge \\(0, 1\\)"),
+            ([0], [3], [1.0], "out of range"),
+            ([-1], [1], [1.0], "out of range"),
+            ([0], [1], [np.nan], "outside \\[0, 1\\]"),
+        ],
+    )
+    def test_rejects(self, edge_u, edge_v, edge_weight, match):
+        with pytest.raises(DataFormatError, match=match):
+            Graph(np.ones((3, 1)), edge_u, edge_v, edge_weight)
+
+    def test_endpoints_stored_sorted(self):
+        g = Graph(np.ones((4, 1)), [3, 0, 2], [1, 2, 1], [0.5, 1.0, 0.25])
+        np.testing.assert_array_equal(g.edge_u, [1, 0, 1])
+        np.testing.assert_array_equal(g.edge_v, [3, 2, 2])
+        np.testing.assert_array_equal(g.edge_weight, [0.5, 1.0, 0.25])
+        assert Graph.undirected(np.ones((4, 1)), [(3, 1)]).undirected_endpoints(0) == (1, 3)
+
+    def test_accessors_return_python_scalars(self, triangle):
+        # json.dumps rejects numpy integers; the JSON and DOT writers use these.
+        u, v = triangle.undirected_endpoints(2)
+        w = triangle.undirected_weight(2)
+        assert (type(u), type(v), type(w)) == (int, int, float)
+        assert json.dumps([u, v, w]) == "[0, 2, 1.0]"
+
     def test_match_undirected_accessors(self):
         rng = np.random.default_rng(40)
         for _ in range(10):
@@ -330,8 +341,15 @@ class TestEdgeArrays:
                 assert g.edge_weight[i] == g.undirected_weight(i)
 
     def test_read_only(self, triangle):
-        with pytest.raises(ValueError):
-            triangle.edge_weight[0] = 0.5
+        for arr in (triangle.edge_u, triangle.edge_v, triangle.edge_weight):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_caller_arrays_stay_writable(self):
+        u, v, w = np.array([0]), np.array([1]), np.array([0.5])
+        Graph(np.ones((2, 1)), u, v, w)
+        for arr in (u, v, w):
+            arr[0] = 1
 
     def test_edge_mask_rejects_unknown_edges(self, triangle):
         np.testing.assert_array_equal(edge_mask(triangle, [2, 0]), [True, False, True])

@@ -220,14 +220,9 @@ class TestForwardOnInduced:
 
     def test_empty_isolated_nodes_policy(self, path3, small_model):
         s = induce_by_edges(path3, set())
-        a = forward_on_induced(small_model, s, empty_policy="isolated-nodes")
+        a = forward_on_induced(small_model, s)
         zeroed = forward_with_override(small_model, path3, {0: 0.0, 1: 0.0})
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
-
-    def test_empty_reject_policy(self, path3, small_model):
-        s = induce_by_edges(path3, set())
-        with pytest.raises(Exception):
-            forward_on_induced(small_model, s, empty_policy="reject")
 
 
 class TestCounter:

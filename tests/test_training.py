@@ -204,9 +204,7 @@ class TestTrainGCN:
     def test_dataset_problems_are_data_errors(self):
         g = Graph.undirected(np.ones((2, 3)), [(0, 1)])
         g4 = Graph.undirected(np.ones((2, 4)), [(0, 1)])
-        empty = Graph(
-            features=np.zeros((0, 3)), directed_edges=(), undirected_pairs=(), node_ids=()
-        )
+        empty = Graph.undirected(np.zeros((0, 3)), [])
         record = lambda graph, label: DatasetRecord(
             graph=graph, label=label, gt_edge_mask=(0,) * graph.num_undirected_edges,
             motif_count=0,
