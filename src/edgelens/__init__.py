@@ -35,7 +35,6 @@ from .evaluate import (
 from .explain import (
     EdgeScores,
     Explanation,
-    base_overrides,
     brute_force_best_subgraph,
     edge_set_importance,
     explain,
@@ -69,7 +68,6 @@ from .models import (
     Prediction,
     forward,
     forward_on_induced,
-    forward_with_override,
     load_model,
     save_model,
 )

@@ -150,7 +150,7 @@ def evaluate_cmd(model_path, dataset_path, methods, levels, k_range, out_path):
 @main.command("oracle")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
-@click.option("--cap", default=14, show_default=True, type=int)
+@click.option("--cap", default=14, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def oracle_cmd(model_path, dataset_path, cap, out_path):
     """Exhaustive-search gap report over a dataset."""

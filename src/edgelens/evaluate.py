@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UndefinedMetricError
 from .explain import (
     METHODS,
     Explanation,
@@ -142,7 +143,9 @@ def oracle_report(m: ModelSpec, dataset, cap: int = 14) -> OracleReport:
         else:
             ratios.append(1.0 if gaps[-1] == 0 else 0.0)
     if not gaps:
-        return OracleReport(0, skipped, 0.0, 0.0, 0.0, ())
+        raise UndefinedMetricError(
+            f"no graph has at most {cap} edges ({skipped} skipped); nothing to evaluate"
+        )
     return OracleReport(
         n_evaluated=len(gaps),
         n_skipped=skipped,

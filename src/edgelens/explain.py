@@ -27,7 +27,6 @@ from .models import (
     Prediction,
     forward,
     forward_on_edges,
-    forward_with_override,
 )
 
 METHODS = ("linear-gradient", "sa", "ig")
@@ -63,22 +62,11 @@ class Explanation:
     forward_passes_used: int
 
 
-def base_overrides(
-    g: Graph, edges, base_weight: float = 0.0
-) -> dict[int, float]:
-    """Override map sending every edge in `edges` to the base weight."""
-    out: dict[int, float] = {}
-    for e in edges:
-        if not 0 <= e < g.num_undirected_edges:
-            raise KeyError(f"unknown undirected edge index {e}")
-        out[int(e)] = base_weight
-    return out
-
-
 def _l1_distance(g: Graph, edges, base_weight: float) -> float:
     """Entrywise L1 distance between the adjacency and its base point,
-    summed over both directed realizations of each re-weighted edge."""
-    return sum(2.0 * abs(g.undirected_weight(e) - base_weight) for e in edges)
+    summed over both directed realizations of each re-weighted edge, one
+    edge at a time in index order."""
+    return sum((2.0 * np.abs(g.edge_weight[edges] - base_weight)).tolist())
 
 
 def edge_set_importance(
@@ -92,15 +80,15 @@ def edge_set_importance(
 ) -> float:
     """Slope of the prediction line from the base point of `edges` to the
     graph: (phi(c|A) - phi(c|A_base)) / |A - A_base|_1."""
-    edges = sorted(set(int(e) for e in edges))
-    if not edges:
+    selected = edge_mask(g, edges)
+    if not selected.any():
         raise UndefinedMetricError("importance of an empty edge set is undefined")
     if original is None:
         original = forward(m, g, counter)
-    at_base = forward_with_override(
-        m, g, base_overrides(g, edges, base_weight), counter
-    )
-    denom = _l1_distance(g, edges, base_weight)
+    base = g.edge_weight.copy()
+    base[selected] = base_weight
+    at_base = forward(m, g, counter, base)
+    denom = _l1_distance(g, selected, base_weight)
     if denom == 0.0:
         return 0.0
     return (
@@ -142,12 +130,16 @@ def sa_edge_scores(
     class probability w.r.t. each edge weight, both directions moved
     together, probe points clamped to [0, 1]."""
     values = np.empty(g.num_undirected_edges)
+    probe = g.edge_weight.copy()
     for e in range(g.num_undirected_edges):
         w = g.undirected_weight(e)
         hi = min(1.0, w + h)
         lo = max(0.0, w - h)
-        p_hi = forward_with_override(m, g, {e: hi}, counter).probabilities
-        p_lo = forward_with_override(m, g, {e: lo}, counter).probabilities
+        probe[e] = hi
+        p_hi = forward(m, g, counter, probe).probabilities
+        probe[e] = lo
+        p_lo = forward(m, g, counter, probe).probabilities
+        probe[e] = w
         values[e] = abs(p_hi[target_class] - p_lo[target_class]) / (hi - lo)
     return EdgeScores(values=values, target_class=target_class, method="sa-fd")
 
@@ -169,22 +161,15 @@ def ig_edge_scores(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    mcount = g.num_undirected_edges
-    weights = g.edge_weight
-    values = np.zeros(mcount)
+    span = g.edge_weight - base_weight
+    path = [base_weight + (j / steps) * span for j in range(steps + 1)]
+    values = np.zeros(g.num_undirected_edges)
     for j in range(1, steps + 1):
-        t = j / steps
-        t_prev = (j - 1) / steps
-        at_t = {
-            e: base_weight + t * (weights[e] - base_weight) for e in range(mcount)
-        }
-        p_t = forward_with_override(m, g, at_t, counter).probabilities[target_class]
-        for e in range(mcount):
-            pulled = dict(at_t)
-            pulled[e] = base_weight + t_prev * (weights[e] - base_weight)
-            p_pulled = forward_with_override(m, g, pulled, counter).probabilities[
-                target_class
-            ]
+        p_t = forward(m, g, counter, path[j]).probabilities[target_class]
+        for e in range(g.num_undirected_edges):
+            pulled = path[j].copy()
+            pulled[e] = path[j - 1][e]
+            p_pulled = forward(m, g, counter, pulled).probabilities[target_class]
             values[e] += p_t - p_pulled
     return EdgeScores(values=values, target_class=target_class, method="ig-fd")
 
@@ -351,7 +336,6 @@ def explain(
     base_weight: float = 0.0,
     sa_step: float = 1e-3,
     ig_steps: int = 50,
-    external_scores: EdgeScores | None = None,
 ) -> Explanation:
     """Score edges, rank, then search the ranked prefixes.
 
@@ -365,14 +349,9 @@ def explain(
     counter = ForwardCounter()
     original = forward(m, g, counter)
     c = original.predicted_class if target_class == "auto" else int(target_class)
-    if method == "external":
-        if external_scores is None:
-            raise ValueError("method='external' requires external_scores")
-        scores = external_scores
-    else:
-        scores = score_edges(
-            m, g, c, method, base_weight, sa_step, ig_steps, counter, original
-        )
+    scores = score_edges(
+        m, g, c, method, base_weight, sa_step, ig_steps, counter, original
+    )
     ranked = rank_edges(scores)
     return linear_search(
         m,

@@ -364,6 +364,11 @@ def graph_from_json(text: str) -> Graph:
 
 
 def _graph_from_obj(obj: dict) -> Graph:
+    if not isinstance(obj, dict):
+        raise DataFormatError("graph record is not a JSON object")
+    version = obj.get("version")
+    if type(version) is not int or version != GRAPH_SCHEMA_VERSION:
+        raise DataFormatError(f"unsupported graph version {version!r}")
     for key in ("n", "features", "edges", "undirected"):
         if key not in obj:
             raise DataFormatError(f"graph record missing field {key!r}")
@@ -372,7 +377,16 @@ def _graph_from_obj(obj: dict) -> Graph:
         raise DataFormatError("features shape does not match n")
     if not obj["undirected"]:
         raise DataFormatError("only undirected graphs are supported")
-    edges = [(int(u), int(v), float(w)) for u, v, w in obj["edges"]]
+    edges = []
+    for edge in obj["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise DataFormatError(f"edge {edge!r} is not a [u, v, weight] triple")
+        u, v, w = edge
+        if type(u) is not int or type(v) is not int:
+            raise DataFormatError(f"edge {edge!r}: endpoints must be JSON integers")
+        if type(w) not in (int, float):
+            raise DataFormatError(f"edge {edge!r}: weight must be a JSON number")
+        edges.append((u, v, float(w)))
     return Graph.undirected(feats, edges, label=obj.get("label"))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -128,21 +127,18 @@ class ForwardCounter:
         self.count = 0
 
 
-def weighted_adjacency(
-    g: Graph, overrides: Mapping[int, float] | None = None
-) -> np.ndarray:
-    """Dense adjacency from the current edge weights. `overrides` maps an
-    undirected edge index to a replacement weight applied to both directions."""
-    w = g.edge_weight
-    if overrides:
-        w = w.copy()
-        for idx, value in overrides.items():
-            if not 0 <= idx < g.num_undirected_edges:
-                raise KeyError(f"unknown undirected edge index {idx}")
-            w[idx] = float(value)
+def weighted_adjacency(g: Graph, weights: np.ndarray | None = None) -> np.ndarray:
+    """Dense adjacency of g's edges carrying the (E,) vector `weights`,
+    g.edge_weight when none is given; both directions get the same value."""
+    if weights is None:
+        weights = g.edge_weight
+    elif np.shape(weights) != (g.num_undirected_edges,):
+        raise DataFormatError(
+            f"weights of shape {np.shape(weights)} for {g.num_undirected_edges} edges"
+        )
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    a[g.edge_u, g.edge_v] = w
-    a[g.edge_v, g.edge_u] = w
+    a[g.edge_u, g.edge_v] = weights
+    a[g.edge_v, g.edge_u] = weights
     return a
 
 
@@ -211,18 +207,15 @@ def forward_dense(
     )
 
 
-def forward(m: ModelSpec, g: Graph, counter: ForwardCounter | None = None) -> Prediction:
-    return forward_dense(m, weighted_adjacency(g), g.features, counter)
-
-
-def forward_with_override(
+def forward(
     m: ModelSpec,
     g: Graph,
-    overrides: Mapping[int, float],
     counter: ForwardCounter | None = None,
+    weights: np.ndarray | None = None,
 ) -> Prediction:
-    """Forward with some undirected edges re-weighted; g itself is untouched."""
-    return forward_dense(m, weighted_adjacency(g, overrides), g.features, counter)
+    """Forward on g, or on g with its edges re-weighted to the (E,) vector
+    `weights`; g itself is untouched."""
+    return forward_dense(m, weighted_adjacency(g, weights), g.features, counter)
 
 
 def forward_on_edges(

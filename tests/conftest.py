@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edgelens import Graph, init_gcn
+from edgelens.models import Classifier, GINLayer, ModelSpec
 
 
 @pytest.fixture
@@ -23,6 +24,28 @@ def path4():
 @pytest.fixture
 def small_model():
     return init_gcn(input_dim=2, num_layers=2, hidden_dim=4, num_classes=2, seed=1)
+
+
+def reweighted(g, edges, value):
+    """Copy of g's (E,) edge weights with the given edges set to value."""
+    w = g.edge_weight.copy()
+    w[list(edges)] = value
+    return w
+
+
+def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2):
+    """GIN with uniform(-0.3, 0.3) parameters, epsilon 0.25 and mean pooling."""
+    rng = np.random.default_rng(seed)
+    u = lambda *shape: rng.uniform(-0.3, 0.3, size=shape)
+    dims = [feature_dim] + [hidden] * num_layers
+    layers = tuple(
+        GINLayer(w1=u(dims[i], hidden), b1=u(hidden), w2=u(hidden, dims[i + 1]),
+                 b2=u(dims[i + 1]), epsilon=0.25)
+        for i in range(num_layers)
+    )
+    classifier = Classifier(w1=u(hidden, hidden), b1=u(hidden), w2=u(hidden, num_classes),
+                            b2=u(num_classes))
+    return ModelSpec("gin", layers, classifier, "mean", num_classes)
 
 
 def random_graph(rng, max_nodes=8, max_extra_edges=6, feature_dim=3):

@@ -40,9 +40,9 @@ from edgelens import (
 from edgelens.data import DatasetRecord
 from edgelens.evaluate import _path_graph
 from edgelens.graphs import Graph, connected_components
-from edgelens.models import forward, forward_with_override
+from edgelens.models import forward
 
-from conftest import random_graph, random_model
+from conftest import random_graph, random_model, reweighted
 
 # ---------------------------------------------------------------------------
 # Frozen experiment: 200-graph planted-motif corpus (seed 7) and the
@@ -154,7 +154,7 @@ def test_criterion_3_slope_exactness():
         score = edge_set_importance(m, g, edges, c)
         denom = _l1_distance(g, edges, 0.0)
         p_full = forward(m, g).probabilities[c]
-        p_base = forward_with_override(m, g, {e: 0.0 for e in edges}).probabilities[c]
+        p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
         err = abs(score * denom - (p_full - p_base))
         worst = max(worst, err)
         assert err < 1e-12
@@ -197,7 +197,7 @@ def test_criterion_5_weight_zero_is_deletion():
             int(e)
             for e in rng.choice(mcount, size=int(rng.integers(1, mcount + 1)), replace=False)
         )
-        zeroed = forward_with_override(m, g, {e: 0.0 for e in drop})
+        zeroed = forward(m, g, weights=reweighted(g, drop, 0.0))
         kept = [
             (*g.undirected_endpoints(i), g.undirected_weight(i))
             for i in range(mcount)

@@ -192,6 +192,34 @@ class TestOracleCommand:
         assert obj["n_evaluated"] + obj["n_skipped"] == 4
         assert "mean_gap=" in result.output
 
+    def _oracle(self, runner, workspace, cap):
+        out = workspace["dir"] / "oracle.json"
+        result = runner.invoke(
+            main,
+            [
+                "oracle",
+                "--model", str(workspace["model"]),
+                "--dataset", str(workspace["dataset"]),
+                "--cap", cap,
+                "--out", str(out),
+            ],
+        )
+        return result, out
+
+    @pytest.mark.parametrize("cap", ["-1", "0", "x"])
+    def test_bad_cap_is_usage_error(self, runner, workspace, cap):
+        result, out = self._oracle(runner, workspace, cap)
+        assert result.exit_code == 2, result.output
+        assert "--cap" in result.output
+        assert not out.exists()
+
+    def test_cap_below_every_graph_is_data_error(self, runner, workspace):
+        # every workspace graph has more than 5 edges
+        result, out = self._oracle(runner, workspace, "5")
+        assert result.exit_code == 3, result.output
+        assert "nothing to evaluate" in result.output
+        assert not out.exists()
+
 
 class TestGenDatasetCommand:
     def test_generates_and_prints_checksum(self, runner, tmp_path):

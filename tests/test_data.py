@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,15 @@ class TestDatasetIO:
         lines.insert(1, "{not json")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 2"):
+            load_dataset(path)
+
+    def test_graph_version_checked_with_line(self, tmp_path):
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        path = tmp_path / "v.jsonl"
+        bad = json.loads(record_to_json(records[1]))
+        bad["graph"]["version"] = 7
+        path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match="line 2: unsupported graph version 7"):
             load_dataset(path)
 
     def test_blank_lines_skipped(self, tmp_path):

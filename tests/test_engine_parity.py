@@ -12,13 +12,12 @@ from edgelens import (
     fidelity_minus,
     fidelity_plus,
     forward,
-    forward_with_override,
     gen_ba2motifs_mini,
     init_gcn,
     linear_gradient_scores,
 )
-from edgelens.models import Classifier, GINLayer, ModelSpec
 
+from conftest import gin_model, reweighted
 from reference_engine import (
     loop_adjacency,
     loop_brute_force,
@@ -30,23 +29,9 @@ from reference_engine import (
 FEATURES = 10
 
 
-def gin_model(seed, hidden=32, num_layers=3, num_classes=2):
-    rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-0.3, 0.3, size=shape)
-    dims = [FEATURES] + [hidden] * num_layers
-    layers = tuple(
-        GINLayer(w1=u(dims[i], hidden), b1=u(hidden), w2=u(hidden, dims[i + 1]),
-                 b2=u(dims[i + 1]), epsilon=0.25)
-        for i in range(num_layers)
-    )
-    classifier = Classifier(w1=u(hidden, hidden), b1=u(hidden), w2=u(hidden, num_classes),
-                            b2=u(num_classes))
-    return ModelSpec("gin", layers, classifier, "mean", num_classes)
-
-
 MODELS = {
     "gcn": lambda: init_gcn(FEATURES, 3, 32, 2, seed=21, init_scale=0.3),
-    "gin": lambda: gin_model(22),
+    "gin": lambda: gin_model(22, FEATURES, hidden=32, num_layers=3),
 }
 
 
@@ -109,7 +94,7 @@ def test_weight_zero_is_deletion_at_205_nodes(kind):
     m = MODELS[kind]()
     g = ba_graph(200, seed=24, weighted=True)
     for e in np.random.default_rng(25).choice(g.num_undirected_edges, 6, replace=False):
-        zeroed = forward_with_override(m, g, {int(e): 0.0})
+        zeroed = forward(m, g, weights=reweighted(g, [e], 0.0))
         kept = [
             (*g.undirected_endpoints(i), g.undirected_weight(i))
             for i in range(g.num_undirected_edges)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from edgelens import (
+    UndefinedMetricError,
     compare_methods,
     explain,
     export_dot,
@@ -95,6 +96,16 @@ class TestOracleReport:
     def test_cap_skips_big_graphs(self, model, mini_dataset):
         r = oracle_report(model, mini_dataset, cap=3)
         assert r.n_evaluated + r.n_skipped == len(mini_dataset)
+        assert r.n_evaluated >= 1 and r.n_skipped >= 1
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_nothing_evaluated_is_undefined(self, model, mini_dataset, cap):
+        with pytest.raises(UndefinedMetricError, match="nothing to evaluate"):
+            oracle_report(model, mini_dataset, cap=cap)
+
+    def test_empty_dataset_is_undefined(self, model):
+        with pytest.raises(UndefinedMetricError):
+            oracle_report(model, [])
 
 
 class TestTimingReport:

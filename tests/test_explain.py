@@ -23,9 +23,9 @@ from edgelens import (
     sa_edge_scores,
 )
 from edgelens.explain import _l1_distance, explanation_to_json
-from edgelens.models import ForwardCounter, forward, forward_with_override
+from edgelens.models import ForwardCounter, forward
 
-from conftest import random_graph, random_model
+from conftest import random_graph, random_model, reweighted
 
 
 class TestImportanceExactness:
@@ -43,15 +43,13 @@ class TestImportanceExactness:
             score = edge_set_importance(m, g, edges, c)
             denom = _l1_distance(g, edges, 0.0)
             p_full = forward(m, g).probabilities[c]
-            p_base = forward_with_override(
-                m, g, {e: 0.0 for e in edges}, None
-            ).probabilities[c]
+            p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
             assert abs(score * denom - (p_full - p_base)) < 1e-12
 
     def test_single_unit_edge_denominator_is_two(self, path3, small_model):
         score = edge_set_importance(small_model, path3, [0], 0)
         p_full = forward(small_model, path3).probabilities[0]
-        p_base = forward_with_override(small_model, path3, {0: 0.0}).probabilities[0]
+        p_base = forward(small_model, path3, weights=reweighted(path3, [0], 0.0)).probabilities[0]
         assert score == (p_full - p_base) / 2.0
 
     def test_l1_counts_both_directions(self, path3):
@@ -68,6 +66,11 @@ class TestImportanceExactness:
     def test_empty_set_rejected(self, path3, small_model):
         with pytest.raises(UndefinedMetricError):
             edge_set_importance(small_model, path3, [], 0)
+
+    @pytest.mark.parametrize("edges", [[2], [0, -1]])
+    def test_unknown_edge_rejected(self, path3, small_model, edges):
+        with pytest.raises(InvalidSelectionError, match="unknown edge"):
+            edge_set_importance(small_model, path3, edges, 0)
 
 
 class TestLinearGradientScores:
@@ -204,12 +207,10 @@ class TestExplain:
 
     def test_external_scores(self, path3, small_model):
         s = EdgeScores(values=np.array([0.1, 0.9]), target_class=0, method="custom")
-        e = explain(small_model, path3, target_class=0, method="external", external_scores=s)
+        e = linear_search(small_model, path3, rank_edges(s), 0, scores=s.values)
         assert e.ranked_edges == (1, 0)
-
-    def test_external_requires_scores(self, path3, small_model):
-        with pytest.raises(ValueError):
-            explain(small_model, path3, target_class=0, method="external")
+        assert e.scores is s.values
+        assert e.forward_passes_used == 1 + 2 * path3.num_undirected_edges
 
     @pytest.mark.parametrize("target", [2, 5, -1])
     def test_rejects_class_outside_model(self, path3, small_model, target):
@@ -240,8 +241,8 @@ class TestBaselines:
         g = Graph.undirected(np.ones((3, 2)), [(0, 1, 0.5), (1, 2, 0.5)])
         vals = sa_edge_scores(small_model, g, 0, h=1e-3).values
         for e in range(2):
-            hi = forward_with_override(small_model, g, {e: 0.501}).probabilities[0]
-            lo = forward_with_override(small_model, g, {e: 0.499}).probabilities[0]
+            hi = forward(small_model, g, weights=reweighted(g, [e], 0.501)).probabilities[0]
+            lo = forward(small_model, g, weights=reweighted(g, [e], 0.499)).probabilities[0]
             assert vals[e] == pytest.approx(abs(hi - lo) / 0.002, abs=1e-12)
 
     def test_ig_one_step_equals_forward_difference(self, small_model):

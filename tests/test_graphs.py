@@ -300,6 +300,33 @@ class TestGraphIO:
                 '"edges":[[0,1,1.0]],"undirected":false}'
             )
 
+    @staticmethod
+    def _record(version=1, edges="[[0,1,1.0]]"):
+        v = "" if version is None else f'"version":{version},'
+        return '{' + v + '"n":3,"features":[[1.0],[1.0],[1.0]],"edges":' + edges + ',"undirected":true}'
+
+    @pytest.mark.parametrize(
+        "edges",
+        ["[[0.9,2.7,1.0]]", "[[0,2.0,1.0]]", '[["1",2,1.0]]', "[[true,2,1.0]]", "[[0,null,1.0]]"],
+    )
+    def test_rejects_non_integer_endpoint(self, edges):
+        with pytest.raises(DataFormatError, match="endpoints must be JSON integers"):
+            graph_from_json(self._record(edges=edges))
+
+    @pytest.mark.parametrize("edges", ['[[0,1,"0.5"]]', "[[0,1,true]]", "[[0,1]]", "[0]"])
+    def test_rejects_malformed_edge(self, edges):
+        with pytest.raises(DataFormatError, match="edge"):
+            graph_from_json(self._record(edges=edges))
+
+    @pytest.mark.parametrize("version", [None, 7, 0, '"1"', "true", "1.0"])
+    def test_rejects_unknown_version(self, version):
+        with pytest.raises(DataFormatError, match="unsupported graph version"):
+            graph_from_json(self._record(version=version))
+
+    def test_rejects_non_object_record(self):
+        with pytest.raises(DataFormatError, match="not a JSON object"):
+            graph_from_json("[1, 2]")
+
 
 class TestEdgeArrays:
     @pytest.mark.parametrize(

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from edgelens import (
+    DataFormatError,
     Graph,
     ModelFormatError,
     ModelSpec,
     forward,
     forward_on_induced,
-    forward_with_override,
     induce_by_edges,
     init_gcn,
     load_model,
@@ -24,7 +24,7 @@ from edgelens.models import (
     model_to_json,
 )
 
-from conftest import random_graph, random_model
+from conftest import random_graph, random_model, reweighted
 
 
 def identity_gcn():
@@ -77,9 +77,7 @@ class TestForwardGCN:
         for _ in range(10):
             g = random_graph(rng)
             m = random_model(rng)
-            zeroed = forward_with_override(
-                m, g, {e: 0.0 for e in range(g.num_undirected_edges)}
-            )
+            zeroed = forward(m, g, weights=np.zeros(g.num_undirected_edges))
             edgeless = Graph.undirected(g.features, [])
             bare = forward(m, edgeless)
             np.testing.assert_array_equal(zeroed.probabilities, bare.probabilities)
@@ -97,7 +95,7 @@ class TestForwardGCN:
             g = random_graph(rng)
             m = random_model(rng)
             victim = int(rng.integers(0, g.num_undirected_edges))
-            with_zero = forward_with_override(m, g, {victim: 0.0})
+            with_zero = forward(m, g, weights=reweighted(g, [victim], 0.0))
             kept = [
                 (u, v, w)
                 for i in range(g.num_undirected_edges)
@@ -169,10 +167,22 @@ class TestForwardProperties:
                 atol=1e-9,
             )
 
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_wrong_shape_weights_rejected(self, path3, small_model, shape):
+        with pytest.raises(DataFormatError, match="weights of shape"):
+            forward(small_model, path3, weights=np.zeros(shape))
+
+    def test_weights_leave_graph_untouched(self, path3, small_model):
+        before = path3.edge_weight.copy()
+        w = np.array([0.0, 0.5])
+        forward(small_model, path3, weights=w)
+        np.testing.assert_array_equal(path3.edge_weight, before)
+        np.testing.assert_array_equal(w, [0.0, 0.5])
+
     def test_weight_continuity(self, path3, small_model):
         base = forward(small_model, path3).logits
         for delta in (1e-3, 1e-4, 1e-5):
-            moved = forward_with_override(small_model, path3, {0: 1.0 - delta}).logits
+            moved = forward(small_model, path3, weights=reweighted(path3, [0], 1.0 - delta)).logits
             assert np.all(np.isfinite(moved))
             assert np.max(np.abs(moved - base)) < 10 * delta
 
@@ -221,7 +231,7 @@ class TestForwardOnInduced:
     def test_empty_isolated_nodes_policy(self, path3, small_model):
         s = induce_by_edges(path3, set())
         a = forward_on_induced(small_model, s)
-        zeroed = forward_with_override(small_model, path3, {0: 0.0, 1: 0.0})
+        zeroed = forward(small_model, path3, weights=np.zeros(2))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
 
 
