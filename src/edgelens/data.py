@@ -165,7 +165,31 @@ def save_dataset(records, path) -> None:
             fh.write("\n")
 
 
+def _json_int(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:
+        raise DataFormatError(f"{key} {value!r} is not a JSON integer")
+    return value
+
+
+def _record_from_obj(obj) -> DatasetRecord:
+    if not isinstance(obj, dict):
+        raise DataFormatError("record is not a JSON object")
+    mask = obj["gt_edge_mask"]
+    if not isinstance(mask, list) or any(type(x) is not int or x not in (0, 1) for x in mask):
+        raise DataFormatError(f"gt_edge_mask {mask!r} is not a list of JSON integers 0 and 1")
+    return DatasetRecord(
+        graph=_graph_from_obj(obj["graph"]),
+        label=_json_int(obj, "label"),
+        gt_edge_mask=tuple(mask),
+        motif_count=_json_int(obj, "motif_count"),
+    )
+
+
 def load_dataset(path) -> list[DatasetRecord]:
+    """Records from a JSON Lines file; label, motif_count and the 0/1
+    gt_edge_mask entries must be JSON integers. Any bad record raises
+    DataFormatError naming its line."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -173,15 +197,7 @@ def load_dataset(path) -> list[DatasetRecord]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                records.append(
-                    DatasetRecord(
-                        graph=_graph_from_obj(obj["graph"]),
-                        label=int(obj["label"]),
-                        gt_edge_mask=tuple(int(x) for x in obj["gt_edge_mask"]),
-                        motif_count=int(obj["motif_count"]),
-                    )
-                )
+                records.append(_record_from_obj(json.loads(line)))
             except (KeyError, ValueError, json.JSONDecodeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
     return records

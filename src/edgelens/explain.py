@@ -9,7 +9,6 @@ maximizer, so the whole pipeline costs O(|E|) forward passes.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -26,10 +25,14 @@ from .models import (
     ModelSpec,
     Prediction,
     forward,
-    forward_on_edges,
+    forward_rows,
+    subgraph_rows,
 )
 
 METHODS = ("linear-gradient", "sa", "ig")
+
+# Edge subsets the brute-force oracle evaluates per batch (two rows each).
+_SUBSET_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,19 @@ def _l1_distance(g: Graph, edges, base_weight: float) -> float:
     return sum((2.0 * np.abs(g.edge_weight[edges] - base_weight)).tolist())
 
 
+def _probabilities(m, g, weights, nodes, target_class, counter) -> np.ndarray:
+    """Target-class probability of each forward_rows row."""
+    preds = forward_rows(m, g, weights, nodes, counter)
+    return np.array([p.probabilities[target_class] for p in preds])
+
+
+def _reweighted(m, g, weights, target_class, counter) -> np.ndarray:
+    """Target-class probability of g with its edges carrying each row of the
+    (B, E) `weights`."""
+    nodes = np.ones((len(weights), g.n), dtype=bool)
+    return _probabilities(m, g, weights, nodes, target_class, counter)
+
+
 def edge_set_importance(
     m: ModelSpec,
     g: Graph,
@@ -105,17 +121,19 @@ def linear_gradient_scores(
     original: Prediction | None = None,
 ) -> EdgeScores:
     """Per-edge importance; exactly |E| forwards plus one for the original
-    prediction when it is not supplied."""
+    prediction when it is not supplied. Edge e's base point is one row of
+    an (E, E) weight matrix, g.edge_weight with entry e at base_weight."""
     if original is None:
         original = forward(m, g, counter)
-    values = np.array(
-        [
-            edge_set_importance(
-                m, g, [e], target_class, base_weight, counter, original
-            )
-            for e in range(g.num_undirected_edges)
-        ]
-    )
+    num_edges = g.num_undirected_edges
+    base = np.tile(g.edge_weight, (num_edges, 1))
+    base[np.arange(num_edges), np.arange(num_edges)] = base_weight
+    at_base = _reweighted(m, g, base, target_class, counter)
+    # _l1_distance of one edge: 2 |w_e - base_weight|; a 0 distance scores 0.
+    denom = 2.0 * np.abs(g.edge_weight - base_weight)
+    moved = denom != 0.0
+    values = np.zeros(num_edges)
+    values[moved] = (original.probabilities[target_class] - at_base[moved]) / denom[moved]
     return EdgeScores(values=values, target_class=target_class, method="linear-gradient")
 
 
@@ -129,18 +147,17 @@ def sa_edge_scores(
     """Local-sensitivity baseline: absolute central finite difference of the
     class probability w.r.t. each edge weight, both directions moved
     together, probe points clamped to [0, 1]."""
-    values = np.empty(g.num_undirected_edges)
-    probe = g.edge_weight.copy()
-    for e in range(g.num_undirected_edges):
-        w = g.undirected_weight(e)
-        hi = min(1.0, w + h)
-        lo = max(0.0, w - h)
-        probe[e] = hi
-        p_hi = forward(m, g, counter, probe).probabilities
-        probe[e] = lo
-        p_lo = forward(m, g, counter, probe).probabilities
-        probe[e] = w
-        values[e] = abs(p_hi[target_class] - p_lo[target_class]) / (hi - lo)
+    num_edges = g.num_undirected_edges
+    w = g.edge_weight
+    hi = np.minimum(1.0, w + h)
+    lo = np.maximum(0.0, w - h)
+    # Rows 2e and 2e + 1 move edge e to hi and to lo.
+    probes = np.repeat(w[None], 2 * num_edges, axis=0)
+    edges = np.arange(num_edges)
+    probes[2 * edges, edges] = hi
+    probes[2 * edges + 1, edges] = lo
+    p = _reweighted(m, g, probes, target_class, counter)
+    values = np.abs(p[0::2] - p[1::2]) / (hi - lo)
     return EdgeScores(values=values, target_class=target_class, method="sa-fd")
 
 
@@ -157,20 +174,22 @@ def ig_edge_scores(
 
     Each segment contributes, per edge, the forward difference obtained by
     pulling that edge back to its previous path value, which makes the
-    Riemann sum telescoping-exact in the one-edge one-step case.
+    Riemann sum telescoping-exact in the one-edge one-step case. Each step
+    is one batch of |E| + 1 rows: the path point, then one row per pulled
+    edge.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    num_edges = g.num_undirected_edges
+    edges = np.arange(num_edges)
     span = g.edge_weight - base_weight
     path = [base_weight + (j / steps) * span for j in range(steps + 1)]
-    values = np.zeros(g.num_undirected_edges)
+    values = np.zeros(num_edges)
     for j in range(1, steps + 1):
-        p_t = forward(m, g, counter, path[j]).probabilities[target_class]
-        for e in range(g.num_undirected_edges):
-            pulled = path[j].copy()
-            pulled[e] = path[j - 1][e]
-            p_pulled = forward(m, g, counter, pulled).probabilities[target_class]
-            values[e] += p_t - p_pulled
+        rows = np.repeat(path[j][None], num_edges + 1, axis=0)
+        rows[edges + 1, edges] = path[j - 1]
+        p = _reweighted(m, g, rows, target_class, counter)
+        values += p[0] - p[1:]
     return EdgeScores(values=values, target_class=target_class, method="ig-fd")
 
 
@@ -205,18 +224,18 @@ def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
     return tuple(sorted(range(len(vals)), key=lambda i: (-vals[i], i)))
 
 
-def _drop(
+def _drops(
     m: ModelSpec,
     g: Graph,
     kept: np.ndarray,
     target_class: int,
     counter: ForwardCounter | None,
     original: Prediction,
-) -> float:
+) -> np.ndarray:
     """Probability drop from the graph to the standalone graph of the edges
-    set in the boolean mask `kept`: one forward pass."""
-    p = forward_on_edges(m, g, kept, counter).probabilities[target_class]
-    return float(original.probabilities[target_class] - p)
+    set in each row of the boolean (B, E) `kept`: one forward pass per row."""
+    p = _probabilities(m, g, *subgraph_rows(g, kept), target_class, counter)
+    return original.probabilities[target_class] - p
 
 
 def fidelity_plus(
@@ -232,7 +251,7 @@ def fidelity_plus(
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    return _drop(m, g, ~selected, target_class, counter, original)
+    return float(_drops(m, g, ~selected[None], target_class, counter, original)[0])
 
 
 def fidelity_minus(
@@ -247,7 +266,7 @@ def fidelity_minus(
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    return _drop(m, g, selected, target_class, counter, original)
+    return float(_drops(m, g, selected[None], target_class, counter, original)[0])
 
 
 def overall_fidelity(
@@ -299,14 +318,16 @@ def linear_search(
         counter = ForwardCounter()
     if original is None:
         original = forward(m, g, counter)
-    order = np.array(ranked, dtype=np.int64)
+    rank = np.empty(num_edges, dtype=np.int64)
+    rank[list(ranked)] = np.arange(num_edges)
+    ks = _candidate_range(num_edges, k_range)
+    # Rows 2i and 2i + 1 keep the complement of prefix ks[i] and the prefix.
+    prefix = rank[None, :] < np.array(ks)[:, None]
+    kept = np.stack((~prefix, prefix), axis=1).reshape(-1, num_edges)
+    drops = _drops(m, g, kept, target_class, counter, original).tolist()
     best_k = None
     best = (-np.inf, 0.0, 0.0)
-    for k in _candidate_range(num_edges, k_range):
-        prefix = np.zeros(num_edges, dtype=bool)
-        prefix[order[:k]] = True
-        fplus = _drop(m, g, ~prefix, target_class, counter, original)
-        fminus = _drop(m, g, prefix, target_class, counter, original)
+    for k, fplus, fminus in zip(ks, drops[0::2], drops[1::2]):
         score = fplus - fminus
         if score > best[0]:
             best = (score, fplus, fminus)
@@ -381,16 +402,21 @@ def brute_force_best_subgraph(
     original = forward(m, g, counter)
     best_subset: tuple[int, ...] | None = None
     best_score = -np.inf
-    for size in range(1, num_edges + 1):
-        for subset in itertools.combinations(range(num_edges), size):
-            chosen = np.zeros(num_edges, dtype=bool)
-            chosen[list(subset)] = True
-            score = _drop(m, g, ~chosen, target_class, counter, original) - _drop(
-                m, g, chosen, target_class, counter, original
-            )
-            if score > best_score or (score == best_score and subset < best_subset):
-                best_score = score
-                best_subset = subset
+    bits = np.arange(num_edges)
+    # Subsets as the bit patterns 1 .. 2^|E| - 1, a block at a time. The
+    # winner, the lexicographically smallest subset of top score, does not
+    # depend on the order subsets are scored in.
+    for start in range(1, 2**num_edges, _SUBSET_BLOCK):
+        codes = np.arange(start, min(start + _SUBSET_BLOCK, 2**num_edges))
+        chosen = ((codes[:, None] >> bits) & 1).astype(bool)
+        kept = np.stack((~chosen, chosen), axis=1).reshape(-1, num_edges)
+        drops = _drops(m, g, kept, target_class, counter, original)
+        scores = drops[0::2] - drops[1::2]
+        score = scores.max()
+        subset = min(tuple(bits[chosen[i]].tolist()) for i in np.flatnonzero(scores == score))
+        if score > best_score or (score == best_score and subset < best_subset):
+            best_score = score
+            best_subset = subset
     return best_subset, float(best_score)
 
 

@@ -56,6 +56,8 @@ class ModelSpec:
             raise ModelFormatError(f"unknown conv kind {self.conv_kind!r}")
         if self.pooling not in ("mean", "sum"):
             raise ModelFormatError(f"unknown pooling {self.pooling!r}")
+        if self.num_classes < 1:
+            raise ModelFormatError(f"num_classes {self.num_classes} < 1")
         dim = self.input_dim
         for i, layer in enumerate(self.layers):
             if self.conv_kind == "gcn":
@@ -127,27 +129,12 @@ class ForwardCounter:
         self.count = 0
 
 
-def weighted_adjacency(g: Graph, weights: np.ndarray | None = None) -> np.ndarray:
-    """Dense adjacency of g's edges carrying the (E,) vector `weights`,
-    g.edge_weight when none is given; both directions get the same value."""
-    if weights is None:
-        weights = g.edge_weight
-    elif np.shape(weights) != (g.num_undirected_edges,):
-        raise DataFormatError(
-            f"weights of shape {np.shape(weights)} for {g.num_undirected_edges} edges"
-        )
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    a[g.edge_u, g.edge_v] = weights
-    a[g.edge_v, g.edge_u] = weights
-    return a
-
-
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
 
@@ -158,53 +145,133 @@ def inverse_sqrt_degree(a_hat: np.ndarray) -> np.ndarray:
 
     Summing each dense row fixes numpy's pairwise summation order. The
     trainer takes its degrees from here too, so its sparse normalization
-    matches forward_dense bit for bit on weighted graphs.
+    matches gcn_normalize bit for bit on weighted graphs.
     """
     return 1.0 / np.sqrt(a_hat.sum(axis=-1))
 
 
 def forward_dense(
     m: ModelSpec,
-    adjacency: np.ndarray,
+    operator: np.ndarray,
     features: np.ndarray,
     counter: ForwardCounter | None = None,
 ) -> Prediction:
-    """One full model evaluation phi(A, X) over a dense adjacency."""
-    if features.shape[1] != m.input_dim:
-        raise NumericalFailureError(
-            f"feature dim {features.shape[1]} != model input dim {m.input_dim}"
-        )
-    if features.shape[0] == 0:
-        raise DataFormatError("cannot evaluate a graph with no nodes")
+    """One full model evaluation phi(A, X) over a prebuilt (s, s) operator:
+    the normalization D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN."""
     if counter is not None:
         counter.tick()
     h = features
     if m.conv_kind == "gcn":
-        # D^-1/2 (A + I) D^-1/2 in one buffer; the same operations in the
-        # same order as d[:, None] * (A + I) * d[None, :], so bitwise equal.
-        norm = np.array(adjacency, dtype=np.float64, order="C")
-        norm.flat[:: norm.shape[0] + 1] += 1.0
-        d_inv_sqrt = inverse_sqrt_degree(norm)
-        norm *= d_inv_sqrt[:, None]
-        norm *= d_inv_sqrt[None, :]
         for layer in m.layers:
-            h = _relu(norm @ h @ layer.weight + layer.bias)
+            h = _relu(operator @ h @ layer.weight + layer.bias)
     else:
         for layer in m.layers:
-            agg = (1.0 + layer.epsilon) * h + adjacency @ h
+            agg = (1.0 + layer.epsilon) * h + operator @ h
             h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
-    pooled = h.mean(axis=0) if m.pooling == "mean" else h.sum(axis=0)
+    # The mean as np.mean computes it: the column sums over the node count.
+    pooled = h.sum(axis=0)
+    if m.pooling == "mean":
+        pooled /= h.shape[0]
     cls = m.classifier
     hidden = _relu(pooled @ cls.w1 + cls.b1)
     logits = hidden @ cls.w2 + cls.b2
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericalFailureError("non-finite logits")
     probs = softmax(logits)
     return Prediction(
         logits=logits,
         probabilities=probs,
-        predicted_class=int(np.argmax(probs)),
+        predicted_class=int(probs.argmax()),
     )
+
+
+# Byte budget of one chunk's operator stack: a 205-node graph builds about
+# one matrix at a time, a 10-node graph about 650.
+STACK_BYTES = 1 << 19
+
+
+def weighted_adjacency(g: Graph, weights: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(b, s, s) stack of dense adjacencies, one per row of the (b, E)
+    `weights` and the boolean (b, n) `nodes`, each row keeping s nodes.
+
+    Row i keeps its nodes in ascending order, and each edge between two
+    kept nodes carries weights[i, e] in both directions.
+    """
+    b, s = len(nodes), int(nodes[0].sum())
+    a = np.zeros((b, s, s), dtype=np.float64)
+    if s == g.n:
+        # Every node kept, as in every re-weighted pass: no remapping.
+        a[:, g.edge_u, g.edge_v] = weights
+        a[:, g.edge_v, g.edge_u] = weights
+        return a
+    pos = np.cumsum(nodes, axis=1) - 1
+    row, e = np.nonzero(nodes[:, g.edge_u] & nodes[:, g.edge_v])
+    iu, iv, w = pos[row, g.edge_u[e]], pos[row, g.edge_v[e]], weights[row, e]
+    a[row, iu, iv] = w
+    a[row, iv, iu] = w
+    return a
+
+
+def gcn_normalize(a: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2 of a (..., s, s) adjacency stack, in place; the
+    same operations in the same order as d[..., :, None] * (A + I) *
+    d[..., None, :], so bitwise equal to it."""
+    s = a.shape[-1]
+    a[..., np.arange(s), np.arange(s)] += 1.0
+    d_inv_sqrt = inverse_sqrt_degree(a)
+    a *= d_inv_sqrt[..., :, None]
+    a *= d_inv_sqrt[..., None, :]
+    return a
+
+
+def forward_rows(
+    m: ModelSpec,
+    g: Graph,
+    weights: np.ndarray,
+    nodes: np.ndarray,
+    counter: ForwardCounter | None = None,
+) -> list[Prediction]:
+    """One forward pass per row: row i evaluates the standalone graph of the
+    nodes set in row i of the boolean (B, n) `nodes`, its edges carrying
+    row i of the (B, E) `weights`. Every row keeps at least one node.
+
+    Rows are grouped by node count, and each group's operators are built as
+    stacks of at most STACK_BYTES; forward_dense then runs once per row.
+    """
+    if g.d != m.input_dim:
+        raise NumericalFailureError(f"feature dim {g.d} != model input dim {m.input_dim}")
+    if g.n == 0:
+        raise DataFormatError("cannot evaluate a graph with no nodes")
+    sizes = nodes.sum(axis=1)
+    out: list = [None] * len(sizes)
+    for s in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == s)
+        step = max(1, STACK_BYTES // (8 * s * s))
+        for lo in range(0, len(group), step):
+            rows = group[lo : lo + step]
+            ops = weighted_adjacency(g, weights[rows], nodes[rows])
+            if m.conv_kind == "gcn":
+                gcn_normalize(ops)
+            if s == g.n:
+                feats = [g.features] * len(rows)
+            else:
+                feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
+            for r, op, x in zip(rows.tolist(), ops, feats):
+                out[r] = forward_dense(m, op, x, counter)
+    return out
+
+
+def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward_rows input for the standalone graphs made of the edges set in
+    each row of the boolean (B, E) `kept`: the kept edges' weights, and the
+    endpoints of the kept edges, or every node, isolated, when none is kept."""
+    weights = np.where(kept, g.edge_weight, 0.0)
+    nodes = np.zeros((len(kept), g.n), dtype=bool)
+    row, e = np.nonzero(kept)
+    nodes[row, g.edge_u[e]] = True
+    nodes[row, g.edge_v[e]] = True
+    nodes[~kept.any(axis=1)] = True
+    return weights, nodes
 
 
 def forward(
@@ -215,34 +282,14 @@ def forward(
 ) -> Prediction:
     """Forward on g, or on g with its edges re-weighted to the (E,) vector
     `weights`; g itself is untouched."""
-    return forward_dense(m, weighted_adjacency(g, weights), g.features, counter)
-
-
-def forward_on_edges(
-    m: ModelSpec,
-    g: Graph,
-    mask: np.ndarray,
-    counter: ForwardCounter | None = None,
-    nodes: np.ndarray | None = None,
-) -> Prediction:
-    """Forward on the standalone graph made of the undirected edges where the
-    boolean (E,) `mask` is set.
-
-    The graph keeps the sorted parent node ids `nodes`, by default exactly
-    the endpoints of the kept edges. When no node is kept, all parent nodes
-    are evaluated as isolated nodes under a zero adjacency.
-    """
-    u, v, w = g.edge_u[mask], g.edge_v[mask], g.edge_weight[mask]
-    if nodes is None:
-        nodes = np.unique(np.concatenate((u, v)))
-    if len(nodes) == 0:
-        return forward_dense(m, np.zeros((g.n, g.n)), g.features, counter)
-    iu = np.searchsorted(nodes, u)
-    iv = np.searchsorted(nodes, v)
-    adjacency = np.zeros((len(nodes), len(nodes)), dtype=np.float64)
-    adjacency[iu, iv] = w
-    adjacency[iv, iu] = w
-    return forward_dense(m, adjacency, g.features[nodes], counter)
+    if weights is None:
+        weights = g.edge_weight
+    elif np.shape(weights) != (g.num_undirected_edges,):
+        raise DataFormatError(
+            f"weights of shape {np.shape(weights)} for {g.num_undirected_edges} edges"
+        )
+    rows = np.asarray(weights, dtype=np.float64)[None]
+    return forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool), counter)[0]
 
 
 def forward_on_induced(
@@ -252,8 +299,13 @@ def forward_on_induced(
 ) -> Prediction:
     """Forward on the standalone graph built from an induced subgraph; an
     empty subgraph evaluates all parent nodes under a zero adjacency."""
-    nodes = np.array(s.nodes, dtype=np.int64)
-    return forward_on_edges(m, s.parent, edge_mask(s.parent, s.edges), counter, nodes)
+    g = s.parent
+    kept = edge_mask(g, s.edges)
+    nodes = np.zeros((1, g.n), dtype=bool)
+    nodes[0, list(s.nodes)] = True
+    if not s.nodes:
+        nodes[:] = True
+    return forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes, counter)[0]
 
 
 def _arr_to_list(a: np.ndarray) -> list:
@@ -300,43 +352,62 @@ def model_from_json(text: str) -> ModelSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"invalid model JSON: {exc}") from exc
-    if obj.get("version") != MODEL_SCHEMA_VERSION:
-        raise ModelFormatError(f"unsupported model version {obj.get('version')!r}")
+    if not isinstance(obj, dict):
+        raise ModelFormatError("model file is not a JSON object")
+    version = obj.get("version")
+    if type(version) is not int or version != MODEL_SCHEMA_VERSION:
+        raise ModelFormatError(f"unsupported model version {version!r}")
     for key in ("conv_kind", "pooling", "num_classes", "layers", "classifier"):
         if key not in obj:
             raise ModelFormatError(f"model file missing field {key!r}")
     kind = obj["conv_kind"]
-    arr = lambda x: np.asarray(x, dtype=np.float64)
-    layers: list = []
-    if kind == "gcn":
-        for lo in obj["layers"]:
-            layers.append(GCNLayer(weight=arr(lo["weight"]), bias=arr(lo["bias"])))
-    elif kind == "gin":
-        eps = obj.get("epsilons", [0.0] * len(obj["layers"]))
-        if len(eps) != len(obj["layers"]):
-            raise ModelFormatError("epsilons length does not match layer count")
-        for lo, e in zip(obj["layers"], eps):
-            layers.append(
-                GINLayer(
-                    w1=arr(lo["w1"]),
-                    b1=arr(lo["b1"]),
-                    w2=arr(lo["w2"]),
-                    b2=arr(lo["b2"]),
-                    epsilon=float(e),
-                )
-            )
-    else:
+    if kind not in ("gcn", "gin"):
         raise ModelFormatError(f"unknown conv kind {kind!r}")
-    cls = obj["classifier"]
+    names = ("weight", "bias") if kind == "gcn" else ("w1", "b1", "w2", "b2")
+    if not isinstance(obj["layers"], list) or not obj["layers"]:
+        raise ModelFormatError("model field 'layers' is not a non-empty list")
+    layers = [_arrays(lo, names, f"layer {i}") for i, lo in enumerate(obj["layers"])]
+    if kind == "gcn":
+        layers = [GCNLayer(**arrays) for arrays in layers]
+    else:
+        eps = obj.get("epsilons", [0.0] * len(layers))
+        if not isinstance(eps, list) or len(eps) != len(layers):
+            raise ModelFormatError("epsilons is not a list matching the layer count")
+        if any(type(e) not in (int, float) for e in eps):
+            raise ModelFormatError(f"epsilons {eps!r} are not all JSON numbers")
+        layers = [GINLayer(**arrays, epsilon=float(e)) for arrays, e in zip(layers, eps)]
+    cls = _arrays(obj["classifier"], ("w1", "b1", "w2", "b2"), "classifier")
+    if type(obj["num_classes"]) is not int:
+        raise ModelFormatError(f"num_classes {obj['num_classes']!r} is not a JSON integer")
     return ModelSpec(
         conv_kind=kind,
         layers=tuple(layers),
-        classifier=Classifier(
-            w1=arr(cls["w1"]), b1=arr(cls["b1"]), w2=arr(cls["w2"]), b2=arr(cls["b2"])
-        ),
+        classifier=Classifier(**cls),
         pooling=obj["pooling"],
-        num_classes=int(obj["num_classes"]),
+        num_classes=obj["num_classes"],
     )
+
+
+def _arrays(obj, names: tuple[str, ...], where: str) -> dict[str, np.ndarray]:
+    """The float64 arrays `names` of one model part: matrices for the
+    weights (w...), vectors for the biases (b...). A part that is not an
+    object, lacks one of them or holds anything else raises
+    ModelFormatError."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ModelFormatError(f"{where} missing arrays {missing}")
+    out = {}
+    for name in names:
+        try:
+            arr = np.asarray(obj[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{where} {name}: {exc}") from exc
+        if arr.ndim != (2 if name.startswith("w") else 1):
+            raise ModelFormatError(f"{where} {name} has shape {arr.shape}")
+        out[name] = arr
+    return out
 
 
 def load_model(path) -> ModelSpec:

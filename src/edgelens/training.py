@@ -229,7 +229,7 @@ class _Batch:
         v = np.concatenate([g.edge_v for g in graphs])
         w = np.concatenate([g.edge_weight for g in graphs])
 
-        # Degrees as forward_dense takes them, from the dense self-looped
+        # Degrees as models.gcn_normalize takes them, from the dense self-looped
         # blocks, stacked by graph size: a degree summed any other way
         # differs in the last bit on weighted graphs.
         d_inv_sqrt = np.empty(n_total)

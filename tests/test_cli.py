@@ -114,6 +114,28 @@ class TestExplainCommand:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "patch",
+        [[], {"version": True}, {"layers": [{}]}],
+        ids=["array", "bool-version", "layer-without-arrays"],
+    )
+    def test_malformed_model_is_data_error(self, runner, workspace, patch):
+        if isinstance(patch, dict):
+            patch = {**json.loads(workspace["model"].read_text()), **patch}
+        bad = workspace["dir"] / "bad_model.json"
+        bad.write_text(json.dumps(patch))
+        result = runner.invoke(
+            main,
+            [
+                "explain",
+                "--model", str(bad),
+                "--graph", str(workspace["graph"]),
+                "--out", str(workspace["dir"] / "x.json"),
+            ],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
+
     @pytest.mark.parametrize("target, code", [("5", 3), ("-1", 3), ("two", 2)])
     def test_bad_class(self, runner, workspace, target, code):
         out = workspace["dir"] / "x.json"

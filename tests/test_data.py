@@ -190,6 +190,41 @@ class TestDatasetIO:
         with pytest.raises(DataFormatError, match="line 2: unsupported graph version 7"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", 1.7),
+            ("label", 1.0),
+            ("label", True),
+            ("label", "1"),
+            ("label", None),
+            ("motif_count", 1.5),
+            ("motif_count", False),
+            ("gt_edge_mask", 0.9),
+            ("gt_edge_mask", 1.0),
+            ("gt_edge_mask", True),
+            ("gt_edge_mask", 2),
+        ],
+    )
+    def test_non_integer_fields_rejected_with_line(self, tmp_path, field, value):
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        bad = json.loads(record_to_json(records[1]))
+        if field == "gt_edge_mask":
+            bad[field][0] = value
+        else:
+            bad[field] = value
+        path = tmp_path / "f.jsonl"
+        path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match=f"line 2: {field}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", ["[]", '{"graph": {}}', '{"label": 0}'])
+    def test_malformed_record_reports_line(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(DataFormatError, match="line 1"):
+            load_dataset(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         records = gen_ba2motifs_mini(2, base_nodes=8, seed=13)
         path = tmp_path / "gaps.jsonl"

@@ -1,11 +1,15 @@
-"""The edge-array engine against the loop-built reference in
-reference_engine.py: every probability, score and fidelity must be bitwise
-equal, on BA-2Motifs graphs of about 25 and 205 nodes, under a GCN and a GIN."""
+"""The row engine against the loop-built reference in reference_engine.py:
+every probability, score and fidelity must be bitwise equal, on BA-2Motifs
+graphs of about 25, 60 and 205 nodes, under a GCN and a GIN."""
+
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from edgelens import (
+    DataFormatError,
     Graph,
     brute_force_best_subgraph,
     explain,
@@ -16,6 +20,8 @@ from edgelens import (
     init_gcn,
     linear_gradient_scores,
 )
+from edgelens import models
+from edgelens.models import STACK_BYTES, forward_rows, subgraph_rows
 
 from conftest import gin_model, reweighted
 from reference_engine import (
@@ -23,6 +29,7 @@ from reference_engine import (
     loop_brute_force,
     loop_fidelities,
     loop_probabilities,
+    loop_probabilities_on_edges,
     loop_scores,
 )
 
@@ -89,6 +96,27 @@ def test_brute_force_matches_reference(kind):
         assert brute_force_best_subgraph(m, g, c) == loop_brute_force(m, g, c)
 
 
+SEVEN_EDGES = [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.5), (3, 4, 1.0), (4, 0, 1.0), (1, 4, 0.25), (4, 5, 1.0)]
+BLOCK_GRAPHS = {
+    "random": (np.random.default_rng(27).uniform(size=(6, FEATURES)), SEVEN_EDGES),
+    "ones": (np.ones((6, FEATURES)), SEVEN_EDGES),
+    # Four identical disjoint edges: subsets of one size tie exactly.
+    "matching": (np.ones((8, FEATURES)), [(0, 1), (2, 3), (4, 5), (6, 7)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+def test_brute_force_across_subset_blocks_matches_reference(kind, name, monkeypatch):
+    """Subsets scored 7 at a time: the winner, ties between blocks included,
+    must not depend on the block boundaries."""
+    monkeypatch.setattr(sys.modules["edgelens.explain"], "_SUBSET_BLOCK", 7)
+    m = MODELS[kind]()
+    g = Graph.undirected(*BLOCK_GRAPHS[name])
+    for c in (0, 1):
+        assert brute_force_best_subgraph(m, g, c) == loop_brute_force(m, g, c)
+
+
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_weight_zero_is_deletion_at_205_nodes(kind):
     m = MODELS[kind]()
@@ -103,3 +131,59 @@ def test_weight_zero_is_deletion_at_205_nodes(kind):
         deleted = forward(m, Graph.undirected(g.features, kept))
         np.testing.assert_array_equal(zeroed.logits, deleted.logits)
         np.testing.assert_array_equal(zeroed.probabilities, deleted.probabilities)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_mixed_row_batch_matches_reference(kind, monkeypatch):
+    """One forward_rows batch of re-weighted rows, more than one operator
+    chunk holds, shuffled with fidelity rows of several node counts: the
+    empty mask, the full mask, a kept 0-weight edge alone and among others."""
+    m = MODELS[kind]()
+    rng = np.random.default_rng(26)
+    g = ba_graph(55, seed=26, weighted=True)
+    w = np.where(rng.uniform(size=g.num_undirected_edges) < 0.2, 0.0, g.edge_weight)
+    g = Graph(g.features, g.edge_u, g.edge_v, w)
+    num_edges, zero = g.num_undirected_edges, int(np.flatnonzero(w == 0.0)[0])
+    per_chunk = STACK_BYTES // (8 * g.n * g.n)
+    reweights = rng.uniform(size=(per_chunk + 2, num_edges))
+    reweights[rng.uniform(size=reweights.shape) < 0.3] = 0.0
+    kept = [rng.uniform(size=num_edges) < p for p in (0.03, 0.1, 0.3, 0.6, 0.9) for _ in range(3)]
+    kept += [np.zeros(num_edges, bool), np.ones(num_edges, bool), np.arange(num_edges) == zero]
+    kept[0][zero] = True
+    kept = np.array(kept)
+    fid_weights, fid_nodes = subgraph_rows(g, kept)
+    assert len(set(fid_nodes.sum(axis=1).tolist())) >= 6
+    weights = np.concatenate((reweights, fid_weights))
+    nodes = np.concatenate((np.ones((len(reweights), g.n), bool), fid_nodes))
+    order = rng.permutation(len(weights))
+    built = []
+    build = models.weighted_adjacency
+
+    def recorded(*args):
+        stack = build(*args)
+        built.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(models, "weighted_adjacency", recorded)
+    got = forward_rows(m, g, weights[order], nodes[order])
+    full = [b for b, s, _ in built if s == g.n]
+    assert len(full) >= 2 and max(full) <= per_chunk and sum(b for b, _, _ in built) == len(order)
+    for pred, i in zip(got, order):
+        if i < len(reweights):
+            overrides = dict(enumerate(reweights[i].tolist()))
+            want = loop_probabilities(m, loop_adjacency(g, overrides), g.features)
+        else:
+            want = loop_probabilities_on_edges(m, g, np.flatnonzero(kept[i - len(reweights)]))
+        np.testing.assert_array_equal(pred.probabilities, want)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_graph_without_nodes_fails_before_any_stack(kind, monkeypatch):
+    built = []
+    monkeypatch.setattr(models, "weighted_adjacency", lambda *a: built.append(a))
+    g = Graph.undirected(np.ones((0, FEATURES)), [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="no nodes"):
+            explain(MODELS[kind](), g)
+    assert built == []

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from edgelens.models import (
     model_to_json,
 )
 
-from conftest import random_graph, random_model, reweighted
+from conftest import gin_model, random_graph, random_model, reweighted
 
 
 def identity_gcn():
@@ -292,6 +293,51 @@ class TestModelIO:
     def test_bad_version_rejected(self):
         with pytest.raises(ModelFormatError):
             model_from_json('{"version":99}')
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"version": True},
+            {"version": 1.0},
+            {"layers": [{}]},
+            {"layers": [{"weight": [[1.0, 0.0]]}]},
+            {"layers": [[1.0]]},
+            {"layers": []},
+            {"layers": {}},
+            {"layers": [{"weight": "x", "bias": [0.0]}]},
+            {"layers": [{"weight": [1.0, 0.0], "bias": [0.0, 0.0]}]},
+            {"classifier": {}},
+            {"classifier": None},
+            {"num_classes": 2.0},
+            {"num_classes": True},
+            {"conv_kind": "mlp"},
+        ],
+        ids=lambda p: json.dumps(p),
+    )
+    def test_malformed_model_is_typed_error(self, patch):
+        obj = json.loads(model_to_json(init_gcn(2, 1, 2, 2, seed=3)))
+        obj.update(patch)
+        with pytest.raises(ModelFormatError):
+            model_from_json(json.dumps(obj))
+
+    def test_zero_classes_rejected(self):
+        obj = json.loads(model_to_json(init_gcn(2, 1, 2, 2, seed=3)))
+        obj["num_classes"] = 0
+        obj["classifier"].update(w2=[[], []], b2=[])
+        with pytest.raises(ModelFormatError, match="num_classes"):
+            model_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"model"', "null"])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(ModelFormatError, match="not a JSON object"):
+            model_from_json(text)
+
+    @pytest.mark.parametrize("eps", [[None, 0.0], ["0.1", 0.0], [0.0], 0.1])
+    def test_bad_gin_epsilons_rejected(self, eps):
+        obj = json.loads(model_to_json(gin_model(4, 2, hidden=2, num_layers=2)))
+        obj["epsilons"] = eps
+        with pytest.raises(ModelFormatError, match="epsilons"):
+            model_from_json(json.dumps(obj))
 
     def test_dimension_chain_validated(self):
         with pytest.raises(ModelFormatError):
