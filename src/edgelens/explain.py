@@ -21,6 +21,7 @@ from .errors import (
 )
 from .graphs import Graph, InducedSubgraph, edge_mask, induce_by_edges, sparsity
 from .models import (
+    STACK_BYTES,
     ForwardCounter,
     ModelSpec,
     Prediction,
@@ -72,17 +73,34 @@ def _l1_distance(g: Graph, edges, base_weight: float) -> float:
     return sum((2.0 * np.abs(g.edge_weight[edges] - base_weight)).tolist())
 
 
-def _probabilities(m, g, weights, nodes, target_class, counter) -> np.ndarray:
-    """Target-class probability of each forward_rows row."""
-    preds = forward_rows(m, g, weights, nodes, counter)
-    return np.array([p.probabilities[target_class] for p in preds])
+def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarray:
+    """Target-class probability of rows 0 .. num_rows - 1, where
+    make_rows(lo, hi) gives the forward_rows input of rows lo .. hi - 1.
+
+    Rows are made and evaluated a chunk at a time, each chunk's (b, E)
+    weights within STACK_BYTES, so memory stays bounded on dense graphs.
+    """
+    step = max(1, STACK_BYTES // (8 * max(1, g.num_undirected_edges)))
+    out = np.empty(num_rows)
+    for lo in range(0, num_rows, step):
+        hi = min(lo + step, num_rows)
+        preds = forward_rows(m, g, *make_rows(lo, hi), counter)
+        out[lo:hi] = [p.probabilities[target_class] for p in preds]
+    return out
 
 
-def _reweighted(m, g, weights, target_class, counter) -> np.ndarray:
-    """Target-class probability of g with its edges carrying each row of the
-    (B, E) `weights`."""
-    nodes = np.ones((len(weights), g.n), dtype=bool)
-    return _probabilities(m, g, weights, nodes, target_class, counter)
+def _one_edge_moved(m, g, base, edges, values, target_class, counter) -> np.ndarray:
+    """Target-class probability of g with its edges carrying the (E,) `base`
+    but for edge edges[i], moved to values[i], or for none when edges[i] is
+    negative: one pass per entry of `edges`."""
+
+    def rows(lo, hi):
+        weights = np.repeat(base[None], hi - lo, axis=0)
+        moved = np.flatnonzero(edges[lo:hi] >= 0)
+        weights[moved, edges[lo + moved]] = values[lo + moved]
+        return weights, np.ones((hi - lo, g.n), dtype=bool)
+
+    return _probabilities(m, g, len(edges), rows, target_class, counter)
 
 
 def edge_set_importance(
@@ -121,14 +139,15 @@ def linear_gradient_scores(
     original: Prediction | None = None,
 ) -> EdgeScores:
     """Per-edge importance; exactly |E| forwards plus one for the original
-    prediction when it is not supplied. Edge e's base point is one row of
-    an (E, E) weight matrix, g.edge_weight with entry e at base_weight."""
+    prediction when it is not supplied. Edge e's base point is
+    g.edge_weight with entry e at base_weight."""
     if original is None:
         original = forward(m, g, counter)
     num_edges = g.num_undirected_edges
-    base = np.tile(g.edge_weight, (num_edges, 1))
-    base[np.arange(num_edges), np.arange(num_edges)] = base_weight
-    at_base = _reweighted(m, g, base, target_class, counter)
+    edges = np.arange(num_edges)
+    at_base = _one_edge_moved(
+        m, g, g.edge_weight, edges, np.full(num_edges, base_weight), target_class, counter
+    )
     # _l1_distance of one edge: 2 |w_e - base_weight|; a 0 distance scores 0.
     denom = 2.0 * np.abs(g.edge_weight - base_weight)
     moved = denom != 0.0
@@ -147,16 +166,13 @@ def sa_edge_scores(
     """Local-sensitivity baseline: absolute central finite difference of the
     class probability w.r.t. each edge weight, both directions moved
     together, probe points clamped to [0, 1]."""
-    num_edges = g.num_undirected_edges
     w = g.edge_weight
     hi = np.minimum(1.0, w + h)
     lo = np.maximum(0.0, w - h)
-    # Rows 2e and 2e + 1 move edge e to hi and to lo.
-    probes = np.repeat(w[None], 2 * num_edges, axis=0)
-    edges = np.arange(num_edges)
-    probes[2 * edges, edges] = hi
-    probes[2 * edges + 1, edges] = lo
-    p = _reweighted(m, g, probes, target_class, counter)
+    # Passes 2e and 2e + 1 move edge e to hi and to lo.
+    edges = np.repeat(np.arange(g.num_undirected_edges), 2)
+    probes = np.stack((hi, lo), axis=1).ravel()
+    p = _one_edge_moved(m, g, w, edges, probes, target_class, counter)
     values = np.abs(p[0::2] - p[1::2]) / (hi - lo)
     return EdgeScores(values=values, target_class=target_class, method="sa-fd")
 
@@ -175,20 +191,19 @@ def ig_edge_scores(
     Each segment contributes, per edge, the forward difference obtained by
     pulling that edge back to its previous path value, which makes the
     Riemann sum telescoping-exact in the one-edge one-step case. Each step
-    is one batch of |E| + 1 rows: the path point, then one row per pulled
-    edge.
+    is |E| + 1 passes: the path point, then one per pulled edge.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     num_edges = g.num_undirected_edges
-    edges = np.arange(num_edges)
+    # Pass 0 of a step moves no edge; pass e + 1 pulls edge e back.
+    edges = np.arange(-1, num_edges)
     span = g.edge_weight - base_weight
     path = [base_weight + (j / steps) * span for j in range(steps + 1)]
     values = np.zeros(num_edges)
     for j in range(1, steps + 1):
-        rows = np.repeat(path[j][None], num_edges + 1, axis=0)
-        rows[edges + 1, edges] = path[j - 1]
-        p = _reweighted(m, g, rows, target_class, counter)
+        pulled = np.concatenate(([np.nan], path[j - 1]))
+        p = _one_edge_moved(m, g, path[j], edges, pulled, target_class, counter)
         values += p[0] - p[1:]
     return EdgeScores(values=values, target_class=target_class, method="ig-fd")
 
@@ -227,15 +242,34 @@ def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
 def _drops(
     m: ModelSpec,
     g: Graph,
-    kept: np.ndarray,
+    num_rows: int,
+    make_kept,
     target_class: int,
     counter: ForwardCounter | None,
     original: Prediction,
 ) -> np.ndarray:
     """Probability drop from the graph to the standalone graph of the edges
-    set in each row of the boolean (B, E) `kept`: one forward pass per row."""
-    p = _probabilities(m, g, *subgraph_rows(g, kept), target_class, counter)
+    kept in each of rows 0 .. num_rows - 1, where make_kept(lo, hi) gives
+    rows lo .. hi - 1 as a boolean (hi - lo, E) matrix: one pass per row."""
+
+    def rows(lo, hi):
+        return subgraph_rows(g, make_kept(lo, hi))
+
+    p = _probabilities(m, g, num_rows, rows, target_class, counter)
     return original.probabilities[target_class] - p
+
+
+def _pair_drops(m, g, num_sets, chosen, target_class, counter, original):
+    """fidelity_plus and fidelity_minus of edge sets 0 .. num_sets - 1,
+    where chosen(i) gives the boolean (len(i), E) rows of the sets i. Rows
+    2i and 2i + 1 keep the complement of set i and set i."""
+
+    def kept(lo, hi):
+        r = np.arange(lo, hi)
+        return chosen(r // 2) ^ (r % 2 == 0)[:, None]
+
+    drops = _drops(m, g, 2 * num_sets, kept, target_class, counter, original)
+    return drops[0::2], drops[1::2]
 
 
 def fidelity_plus(
@@ -251,7 +285,8 @@ def fidelity_plus(
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    return float(_drops(m, g, ~selected[None], target_class, counter, original)[0])
+    drops = _drops(m, g, 1, lambda lo, hi: ~selected[None], target_class, counter, original)
+    return float(drops[0])
 
 
 def fidelity_minus(
@@ -266,7 +301,8 @@ def fidelity_minus(
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    return float(_drops(m, g, selected[None], target_class, counter, original)[0])
+    drops = _drops(m, g, 1, lambda lo, hi: selected[None], target_class, counter, original)
+    return float(drops[0])
 
 
 def overall_fidelity(
@@ -321,13 +357,13 @@ def linear_search(
     rank = np.empty(num_edges, dtype=np.int64)
     rank[list(ranked)] = np.arange(num_edges)
     ks = _candidate_range(num_edges, k_range)
-    # Rows 2i and 2i + 1 keep the complement of prefix ks[i] and the prefix.
-    prefix = rank[None, :] < np.array(ks)[:, None]
-    kept = np.stack((~prefix, prefix), axis=1).reshape(-1, num_edges)
-    drops = _drops(m, g, kept, target_class, counter, original).tolist()
+    sizes = np.array(ks)
+    plus, minus = _pair_drops(
+        m, g, len(ks), lambda i: rank < sizes[i, None], target_class, counter, original
+    )
     best_k = None
     best = (-np.inf, 0.0, 0.0)
-    for k, fplus, fminus in zip(ks, drops[0::2], drops[1::2]):
+    for k, fplus, fminus in zip(ks, plus.tolist(), minus.tolist()):
         score = fplus - fminus
         if score > best[0]:
             best = (score, fplus, fminus)
@@ -409,9 +445,10 @@ def brute_force_best_subgraph(
     for start in range(1, 2**num_edges, _SUBSET_BLOCK):
         codes = np.arange(start, min(start + _SUBSET_BLOCK, 2**num_edges))
         chosen = ((codes[:, None] >> bits) & 1).astype(bool)
-        kept = np.stack((~chosen, chosen), axis=1).reshape(-1, num_edges)
-        drops = _drops(m, g, kept, target_class, counter, original)
-        scores = drops[0::2] - drops[1::2]
+        plus, minus = _pair_drops(
+            m, g, len(codes), lambda i: chosen[i], target_class, counter, original
+        )
+        scores = plus - minus
         score = scores.max()
         subset = min(tuple(bits[chosen[i]].tolist()) for i in np.flatnonzero(scores == score))
         if score > best_score or (score == best_score and subset < best_subset):

@@ -168,7 +168,9 @@ def forward_dense(
         for layer in m.layers:
             agg = (1.0 + layer.epsilon) * h + operator @ h
             h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
-    # The mean as np.mean computes it: the column sums over the node count.
+    # h.mean(axis=0) is this sum divided by the node count, bit for bit
+    # (tests/test_engine_parity.py compares against it); the method calls
+    # skip numpy's per-call wrappers, a large share of a 10-node pass.
     pooled = h.sum(axis=0)
     if m.pooling == "mean":
         pooled /= h.shape[0]
@@ -185,8 +187,9 @@ def forward_dense(
     )
 
 
-# Byte budget of one chunk's operator stack: a 205-node graph builds about
-# one matrix at a time, a 10-node graph about 650.
+# Byte budget of one chunk: an operator stack holds about one matrix at
+# n = 205 and about 650 at n = 10; explain.py bounds each batch of (b, E)
+# edge-weight rows by it too.
 STACK_BYTES = 1 << 19
 
 
@@ -199,16 +202,15 @@ def weighted_adjacency(g: Graph, weights: np.ndarray, nodes: np.ndarray) -> np.n
     """
     b, s = len(nodes), int(nodes[0].sum())
     a = np.zeros((b, s, s), dtype=np.float64)
-    if s == g.n:
-        # Every node kept, as in every re-weighted pass: no remapping.
-        a[:, g.edge_u, g.edge_v] = weights
-        a[:, g.edge_v, g.edge_u] = weights
-        return a
+    # pos[i, v]: node v's index among row i's kept nodes; start[i, v]: the
+    # flat offset of its row of the stack.
     pos = np.cumsum(nodes, axis=1) - 1
-    row, e = np.nonzero(nodes[:, g.edge_u] & nodes[:, g.edge_v])
-    iu, iv, w = pos[row, g.edge_u[e]], pos[row, g.edge_v[e]], weights[row, e]
-    a[row, iu, iv] = w
-    a[row, iv, iu] = w
+    start = pos * s + np.arange(0, b * s * s, s * s)[:, None]
+    kept = nodes[:, g.edge_u] & nodes[:, g.edge_v]
+    w = weights[kept]
+    flat = a.reshape(-1)
+    flat[(start[:, g.edge_u] + pos[:, g.edge_v])[kept]] = w
+    flat[(start[:, g.edge_v] + pos[:, g.edge_u])[kept]] = w
     return a
 
 
@@ -252,10 +254,7 @@ def forward_rows(
             ops = weighted_adjacency(g, weights[rows], nodes[rows])
             if m.conv_kind == "gcn":
                 gcn_normalize(ops)
-            if s == g.n:
-                feats = [g.features] * len(rows)
-            else:
-                feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
+            feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
             for r, op, x in zip(rows.tolist(), ops, feats):
                 out[r] = forward_dense(m, op, x, counter)
     return out

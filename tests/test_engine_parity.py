@@ -3,6 +3,7 @@ every probability, score and fidelity must be bitwise equal, on BA-2Motifs
 graphs of about 25, 60 and 205 nodes, under a GCN and a GIN."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from edgelens import (
     fidelity_plus,
     forward,
     gen_ba2motifs_mini,
+    ig_edge_scores,
     init_gcn,
     linear_gradient_scores,
+    sa_edge_scores,
 )
 from edgelens import models
 from edgelens.models import STACK_BYTES, forward_rows, subgraph_rows
@@ -32,6 +35,8 @@ from reference_engine import (
     loop_probabilities_on_edges,
     loop_scores,
 )
+
+explain_module = sys.modules["edgelens.explain"]
 
 FEATURES = 10
 
@@ -110,7 +115,7 @@ BLOCK_GRAPHS = {
 def test_brute_force_across_subset_blocks_matches_reference(kind, name, monkeypatch):
     """Subsets scored 7 at a time: the winner, ties between blocks included,
     must not depend on the block boundaries."""
-    monkeypatch.setattr(sys.modules["edgelens.explain"], "_SUBSET_BLOCK", 7)
+    monkeypatch.setattr(explain_module, "_SUBSET_BLOCK", 7)
     m = MODELS[kind]()
     g = Graph.undirected(*BLOCK_GRAPHS[name])
     for c in (0, 1):
@@ -187,3 +192,66 @@ def test_graph_without_nodes_fails_before_any_stack(kind, monkeypatch):
         with pytest.raises(DataFormatError, match="no nodes"):
             explain(MODELS[kind](), g)
     assert built == []
+
+
+def complete_graph(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v, float(rng.uniform(0.05, 1.0))) for u in range(n) for v in range(u + 1, n)]
+    return Graph.undirected(rng.uniform(size=(n, FEATURES)), edges)
+
+
+def loop_sa_scores(m, g, c, h=1e-3):
+    values = []
+    for e in range(g.num_undirected_edges):
+        w = g.undirected_weight(e)
+        hi, lo = min(1.0, w + h), max(0.0, w - h)
+        p_hi, p_lo = (
+            loop_probabilities(m, loop_adjacency(g, {e: x}), g.features)[c] for x in (hi, lo)
+        )
+        values.append(abs(p_hi - p_lo) / (hi - lo))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_dense_graph_builds_rows_a_chunk_at_a_time(kind, monkeypatch):
+    """On a complete graph, with the byte bound patched down to 5 rows of E
+    weights, every forward_rows batch of the scorers and the search holds at
+    most 5 rows, and the results still match the reference (IG: the result
+    with the bound unpatched)."""
+    m = MODELS[kind]()
+    g = complete_graph(16, seed=28)
+    ig = ig_edge_scores(m, g, 0, steps=2).values
+    per_chunk = 5
+    monkeypatch.setattr(explain_module, "STACK_BYTES", 8 * g.num_undirected_edges * per_chunk)
+    batches = []
+
+    def recorded(m, g, weights, nodes, counter=None):
+        batches.append(len(weights))
+        return forward_rows(m, g, weights, nodes, counter)
+
+    monkeypatch.setattr(explain_module, "forward_rows", recorded)
+    e = explain(m, g)
+    c = e.target_class
+    np.testing.assert_array_equal(e.scores, loop_scores(m, g, c))
+    fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c)
+    assert (e.fidelity_plus, e.fidelity_minus) == (fplus, fminus)
+    np.testing.assert_array_equal(sa_edge_scores(m, g, c).values, loop_sa_scores(m, g, c))
+    np.testing.assert_array_equal(ig_edge_scores(m, g, 0, steps=2).values, ig)
+    assert max(batches) == per_chunk
+    # E scoring rows, 2E search rows, 2E SA rows and 2 (E + 1) IG rows;
+    # models.forward makes the original pass.
+    assert sum(batches) == 7 * g.num_undirected_edges + 2
+
+
+def test_dense_graph_memory_is_bounded():
+    """SA on a complete 64-node graph makes 4032 passes over 2016 edges:
+    all its probe rows at once would take 65 MB, the chunks take a few."""
+    m = MODELS["gcn"]()
+    g = complete_graph(64, seed=29)
+    tracemalloc.start()
+    try:
+        sa_edge_scores(m, g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * STACK_BYTES
