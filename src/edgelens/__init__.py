@@ -30,7 +30,6 @@ from .evaluate import (
     export_dot,
     fidelity_curve,
     oracle_report,
-    timing_report,
 )
 from .explain import (
     EdgeScores,

@@ -12,7 +12,7 @@ import click
 
 from . import data as data_mod
 from . import evaluate as eval_mod
-from .errors import DataFormatError, EdgeLensError, ModelFormatError, NumericalFailureError
+from .errors import EdgeLensError, NumericalFailureError
 from .explain import METHODS, save_explanation
 from .explain import explain as run_explain
 from .graphs import load_graph
@@ -26,15 +26,9 @@ EXIT_NUMERICAL = 4
 def _guard(fn):
     try:
         return fn()
-    except (DataFormatError, ModelFormatError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
-    except NumericalFailureError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
     except EdgeLensError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA_ERROR)
+        sys.exit(EXIT_NUMERICAL if isinstance(exc, NumericalFailureError) else EXIT_DATA_ERROR)
 
 
 def _comma_list(item_type: click.ParamType):
@@ -236,34 +230,6 @@ def train_cmd(dataset_path, layers, hidden, classes, epochs, lr, momentum, seed,
         click.echo(
             f"epochs={len(result.trace)} loss={result.final_loss:.6f} "
             f"accuracy={result.final_accuracy:.4f}"
-        )
-
-    _guard(run)
-
-
-@main.command("bench")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option(
-    "--sizes",
-    default="5,10,20,50,100",
-    show_default=True,
-    callback=_comma_list(click.IntRange(min=1)),
-)
-@click.option("--reps", default=3, show_default=True, type=click.IntRange(min=1))
-@click.option("--out", "out_path", default=None, type=click.Path())
-def bench_cmd(model_path, sizes, reps, out_path):
-    """Forward-pass accounting and wall-clock timing on path graphs."""
-
-    def run():
-        m = load_model(model_path)
-        report = eval_mod.timing_report(m, sizes, reps=reps)
-        obj = eval_mod.timing_report_to_obj(report)
-        if out_path:
-            eval_mod.write_report(obj, out_path)
-        click.echo(eval_mod.format_table(obj["rows"]), nl=False)
-        click.echo(
-            f"fit: passes = {report.slope:.4f} * |E| + {report.intercept:.4f} "
-            f"(max residual {report.max_residual:.2e})"
         )
 
     _guard(run)

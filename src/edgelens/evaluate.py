@@ -1,16 +1,14 @@
 """Evaluation harness: fidelity-vs-sparsity curves, method comparison,
-oracle gap reports, forward-count/timing reports, and DOT export.
+oracle gap reports, and DOT export.
 
-Reports carry both a deterministic text table and a machine-readable dict;
-only the bench timings depend on the environment, everything else is a pure
-function of its inputs.
+Reports carry both a deterministic text table and a machine-readable dict,
+each a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +17,9 @@ from .errors import UndefinedMetricError
 from .explain import (
     METHODS,
     Explanation,
+    _prefix_drops,
     brute_force_best_subgraph,
     explain,
-    fidelity_minus,
-    fidelity_plus,
     rank_edges,
     score_edges,
 )
@@ -48,25 +45,25 @@ def fidelity_curve(
     for level in levels:
         if not 0.0 <= level <= 1.0:
             raise ValueError(f"sparsity level {level} outside [0, 1]")
-    rankings = []
+    per_graph = []
     for rec in dataset:
         g = rec.graph
         original = forward(m, g)
         c = original.predicted_class
         ranked = rank_edges(score_edges(m, g, c, method, original=original))
-        rankings.append((g, c, original, ranked))
+        sizes = [math.ceil((1.0 - level) * g.num_undirected_edges) for level in levels]
+        plus, minus = _prefix_drops(m, g, ranked, sizes, c, None, original)
+        per_graph.append((plus.tolist(), minus.tolist()))
+    count = len(per_graph)
+    if count == 0:
+        raise UndefinedMetricError("empty dataset; no fidelity to average")
     points = []
-    for level in levels:
+    for i, level in enumerate(levels):
+        # Summed in dataset order, as np.sum's pairwise order would change the floats.
         fplus_sum = fminus_sum = 0.0
-        count = 0
-        for g, c, original, ranked in rankings:
-            k = math.ceil((1.0 - level) * g.num_undirected_edges)
-            prefix = ranked[:k]
-            fp = fidelity_plus(m, g, prefix, c, original=original)
-            fm = fidelity_minus(m, g, prefix, c, original=original)
-            fplus_sum += fp
-            fminus_sum += fm
-            count += 1
+        for plus, minus in per_graph:
+            fplus_sum += plus[i]
+            fminus_sum += minus[i]
         points.append(
             CurvePoint(
                 sparsity_level=level,
@@ -93,6 +90,8 @@ def compare_methods(
 ) -> list[MethodSummary]:
     """Run every ranking method through the same prefix search and tabulate
     mean overall fidelity, chosen sparsity and forward passes."""
+    if len(dataset) == 0:
+        raise UndefinedMetricError("empty dataset; no method to compare")
     summaries = []
     for method in methods:
         overall = spars = passes = 0.0
@@ -156,63 +155,6 @@ def oracle_report(m: ModelSpec, dataset, cap: int = 14) -> OracleReport:
     )
 
 
-@dataclass(frozen=True)
-class TimingRow:
-    num_edges: int
-    mean_seconds: float
-    forward_passes: int
-
-
-@dataclass(frozen=True)
-class TimingReport:
-    rows: tuple[TimingRow, ...]
-    slope: float  # least-squares fit of forward passes vs |E|
-    intercept: float
-    max_residual: float
-
-
-def _path_graph(num_edges: int, feature_dim: int) -> Graph:
-    features = np.ones((num_edges + 1, feature_dim))
-    return Graph.undirected(features, [(i, i + 1) for i in range(num_edges)])
-
-
-def timing_report(m: ModelSpec, sizes, reps: int = 3) -> TimingReport:
-    """Wall time plus exact forward-pass counts for path graphs of the given
-    edge counts, with an affine fit of count vs |E|."""
-    rows = []
-    for size in sizes:
-        g = _path_graph(size, m.input_dim)
-        elapsed = []
-        passes = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            e = explain(m, g, method="linear-gradient", k_range="full")
-            elapsed.append(time.perf_counter() - t0)
-            passes = e.forward_passes_used
-        rows.append(
-            TimingRow(
-                num_edges=size,
-                mean_seconds=float(np.mean(elapsed)),
-                forward_passes=passes,
-            )
-        )
-    if len(rows) >= 2:
-        xs = np.array([r.num_edges for r in rows], dtype=np.float64)
-        ys = np.array([r.forward_passes for r in rows], dtype=np.float64)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
-    elif rows:
-        slope, intercept, residual = 0.0, float(rows[0].forward_passes), 0.0
-    else:
-        slope = intercept = residual = 0.0
-    return TimingReport(
-        rows=tuple(rows),
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=residual,
-    )
-
-
 def export_dot(g: Graph, explanation: Explanation | None, path) -> None:
     """DOT rendering with explanation edges bold red, the rest gray."""
     chosen = set(explanation.subgraph.edges) if explanation is not None else set()
@@ -267,22 +209,6 @@ def oracle_report_to_obj(r: OracleReport) -> dict:
         "max_gap": r.max_gap,
         "mean_ratio": r.mean_ratio,
         "gaps": list(r.gaps),
-    }
-
-
-def timing_report_to_obj(r: TimingReport) -> dict:
-    return {
-        "rows": [
-            {
-                "num_edges": row.num_edges,
-                "mean_seconds": row.mean_seconds,
-                "forward_passes": row.forward_passes,
-            }
-            for row in r.rows
-        ],
-        "slope": r.slope,
-        "intercept": r.intercept,
-        "max_residual": r.max_residual,
     }
 
 

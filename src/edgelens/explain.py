@@ -1,10 +1,10 @@
 """Edge scoring, fidelity metrics, ranked-prefix search, and baselines.
 
 Edge importance is the slope of the line in prediction space between the
-graph and a base point where the target edges are re-weighted to a base
-weight (default 0, i.e. absent). Search evaluates the |E| subgraphs induced
-by prefixes of the importance ranking and keeps the overall-fidelity
-maximizer, so the whole pipeline costs O(|E|) forward passes.
+graph and a base point where the target edges are re-weighted to 0, i.e.
+absent. Search evaluates the |E| subgraphs induced by prefixes of the
+importance ranking and keeps the overall-fidelity maximizer, so the whole
+pipeline costs O(|E|) forward passes.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class Explanation:
     forward_passes_used: int
 
 
-def _l1_distance(g: Graph, edges, base_weight: float) -> float:
+def _l1_distance(g: Graph, edges) -> float:
     """Entrywise L1 distance between the adjacency and its base point,
-    summed over both directed realizations of each re-weighted edge, one
-    edge at a time in index order."""
-    return sum((2.0 * np.abs(g.edge_weight[edges] - base_weight)).tolist())
+    summed over both directed realizations of each zeroed edge, one edge at
+    a time in index order."""
+    return sum((2.0 * g.edge_weight[edges]).tolist())
 
 
 def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarray:
@@ -108,7 +108,6 @@ def edge_set_importance(
     g: Graph,
     edges,
     target_class: int,
-    base_weight: float = 0.0,
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
@@ -120,9 +119,9 @@ def edge_set_importance(
     if original is None:
         original = forward(m, g, counter)
     base = g.edge_weight.copy()
-    base[selected] = base_weight
+    base[selected] = 0.0
     at_base = forward(m, g, counter, base)
-    denom = _l1_distance(g, selected, base_weight)
+    denom = _l1_distance(g, selected)
     if denom == 0.0:
         return 0.0
     return (
@@ -134,22 +133,21 @@ def linear_gradient_scores(
     m: ModelSpec,
     g: Graph,
     target_class: int,
-    base_weight: float = 0.0,
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> EdgeScores:
     """Per-edge importance; exactly |E| forwards plus one for the original
     prediction when it is not supplied. Edge e's base point is
-    g.edge_weight with entry e at base_weight."""
+    g.edge_weight with entry e at 0."""
     if original is None:
         original = forward(m, g, counter)
     num_edges = g.num_undirected_edges
     edges = np.arange(num_edges)
     at_base = _one_edge_moved(
-        m, g, g.edge_weight, edges, np.full(num_edges, base_weight), target_class, counter
+        m, g, g.edge_weight, edges, np.zeros(num_edges), target_class, counter
     )
-    # _l1_distance of one edge: 2 |w_e - base_weight|; a 0 distance scores 0.
-    denom = 2.0 * np.abs(g.edge_weight - base_weight)
+    # _l1_distance of one edge: 2 w_e; a 0 distance scores 0.
+    denom = 2.0 * g.edge_weight
     moved = denom != 0.0
     values = np.zeros(num_edges)
     values[moved] = (original.probabilities[target_class] - at_base[moved]) / denom[moved]
@@ -182,11 +180,10 @@ def ig_edge_scores(
     g: Graph,
     target_class: int,
     steps: int = 50,
-    base_weight: float = 0.0,
     counter: ForwardCounter | None = None,
 ) -> EdgeScores:
-    """Path-integral baseline along the straight line from the all-edges-at-
-    base adjacency to the graph, all edges moved jointly.
+    """Path-integral baseline along the straight line from the all-edges-at-0
+    adjacency to the graph, all edges moved jointly.
 
     Each segment contributes, per edge, the forward difference obtained by
     pulling that edge back to its previous path value, which makes the
@@ -198,8 +195,7 @@ def ig_edge_scores(
     num_edges = g.num_undirected_edges
     # Pass 0 of a step moves no edge; pass e + 1 pulls edge e back.
     edges = np.arange(-1, num_edges)
-    span = g.edge_weight - base_weight
-    path = [base_weight + (j / steps) * span for j in range(steps + 1)]
+    path = [(j / steps) * g.edge_weight for j in range(steps + 1)]
     values = np.zeros(num_edges)
     for j in range(1, steps + 1):
         pulled = np.concatenate(([np.nan], path[j - 1]))
@@ -213,9 +209,6 @@ def score_edges(
     g: Graph,
     target_class: int,
     method: str,
-    base_weight: float = 0.0,
-    sa_step: float = 1e-3,
-    ig_steps: int = 50,
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> EdgeScores:
@@ -225,11 +218,11 @@ def score_edges(
     wrapper installed on this module's attribute sees every call.
     """
     if method == "linear-gradient":
-        return linear_gradient_scores(m, g, target_class, base_weight, counter, original)
+        return linear_gradient_scores(m, g, target_class, counter, original)
     if method == "sa":
-        return sa_edge_scores(m, g, target_class, sa_step, counter)
+        return sa_edge_scores(m, g, target_class, counter=counter)
     if method == "ig":
-        return ig_edge_scores(m, g, target_class, ig_steps, base_weight, counter)
+        return ig_edge_scores(m, g, target_class, counter=counter)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -270,6 +263,17 @@ def _pair_drops(m, g, num_sets, chosen, target_class, counter, original):
 
     drops = _drops(m, g, 2 * num_sets, kept, target_class, counter, original)
     return drops[0::2], drops[1::2]
+
+
+def _prefix_drops(m, g, ranked, sizes, target_class, counter, original):
+    """fidelity_plus and fidelity_minus of the prefixes of `ranked` (a
+    permutation of all edges) of the given sizes, one pair of passes each."""
+    rank = np.empty(g.num_undirected_edges, dtype=np.int64)
+    rank[list(ranked)] = np.arange(g.num_undirected_edges)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return _pair_drops(
+        m, g, len(sizes), lambda i: rank < sizes[i, None], target_class, counter, original
+    )
 
 
 def fidelity_plus(
@@ -354,13 +358,8 @@ def linear_search(
         counter = ForwardCounter()
     if original is None:
         original = forward(m, g, counter)
-    rank = np.empty(num_edges, dtype=np.int64)
-    rank[list(ranked)] = np.arange(num_edges)
     ks = _candidate_range(num_edges, k_range)
-    sizes = np.array(ks)
-    plus, minus = _pair_drops(
-        m, g, len(ks), lambda i: rank < sizes[i, None], target_class, counter, original
-    )
+    plus, minus = _prefix_drops(m, g, ranked, ks, target_class, counter, original)
     best_k = None
     best = (-np.inf, 0.0, 0.0)
     for k, fplus, fminus in zip(ks, plus.tolist(), minus.tolist()):
@@ -377,7 +376,7 @@ def linear_search(
         fidelity_plus=best[1],
         fidelity_minus=best[2],
         overall=best[0],
-        sparsity=sparsity(sub, g, unit="edges"),
+        sparsity=sparsity(sub, g),
         target_class=target_class,
         method=method,
         forward_passes_used=counter.count,
@@ -390,9 +389,6 @@ def explain(
     target_class: int | str = "auto",
     method: str = "linear-gradient",
     k_range: str = "full",
-    base_weight: float = 0.0,
-    sa_step: float = 1e-3,
-    ig_steps: int = 50,
 ) -> Explanation:
     """Score edges, rank, then search the ranked prefixes.
 
@@ -406,9 +402,7 @@ def explain(
     counter = ForwardCounter()
     original = forward(m, g, counter)
     c = original.predicted_class if target_class == "auto" else int(target_class)
-    scores = score_edges(
-        m, g, c, method, base_weight, sa_step, ig_steps, counter, original
-    )
+    scores = score_edges(m, g, c, method, counter, original)
     ranked = rank_edges(scores)
     return linear_search(
         m,

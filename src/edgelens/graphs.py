@@ -251,17 +251,11 @@ def intuitiveness(s: InducedSubgraph) -> float:
     return with_edges / len(s.components)
 
 
-def sparsity(s: InducedSubgraph, g: Graph, unit: str = "edges") -> float:
-    """1 - |s| / |g| counted in edges or nodes."""
-    if unit == "edges":
-        total, part = g.num_undirected_edges, s.num_edges
-    elif unit == "nodes":
-        total, part = g.n, s.num_nodes
-    else:
-        raise ValueError(f"unknown unit {unit!r}")
-    if total == 0:
-        raise UndefinedMetricError(f"graph has no {unit}")
-    return 1.0 - part / total
+def sparsity(s: InducedSubgraph, g: Graph) -> float:
+    """1 - |s| / |g| counted in edges."""
+    if g.num_undirected_edges == 0:
+        raise UndefinedMetricError("graph has no edges")
+    return 1.0 - s.num_edges / g.num_undirected_edges
 
 
 def enumerate_connected_edge_subgraphs(

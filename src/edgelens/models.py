@@ -125,9 +125,6 @@ class ForwardCounter:
     def tick(self):
         self.count += 1
 
-    def reset(self):
-        self.count = 0
-
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)

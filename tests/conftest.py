@@ -48,6 +48,12 @@ def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2):
     return ModelSpec("gin", layers, classifier, "mean", num_classes)
 
 
+def path_graph(num_edges, feature_dim):
+    """Path 0 - 1 - ... - num_edges with all-ones features."""
+    features = np.ones((num_edges + 1, feature_dim))
+    return Graph.undirected(features, [(i, i + 1) for i in range(num_edges)])
+
+
 def random_graph(rng, max_nodes=8, max_extra_edges=6, feature_dim=3):
     """Connected-ish random graph: spanning tree plus extra edges."""
     n = int(rng.integers(2, max_nodes + 1))

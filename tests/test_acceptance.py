@@ -38,11 +38,10 @@ from edgelens import (
     train_gcn,
 )
 from edgelens.data import DatasetRecord
-from edgelens.evaluate import _path_graph
 from edgelens.graphs import Graph, connected_components
 from edgelens.models import forward
 
-from conftest import random_graph, random_model, reweighted
+from conftest import path_graph, random_graph, random_model, reweighted
 
 # ---------------------------------------------------------------------------
 # Frozen experiment: 200-graph planted-motif corpus (seed 7) and the
@@ -152,7 +151,7 @@ def test_criterion_3_slope_exactness():
         edges = sorted(int(e) for e in rng.choice(mcount, size=size, replace=False))
         c = int(rng.integers(0, 2))
         score = edge_set_importance(m, g, edges, c)
-        denom = _l1_distance(g, edges, 0.0)
+        denom = _l1_distance(g, edges)
         p_full = forward(m, g).probabilities[c]
         p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
         err = abs(score * denom - (p_full - p_base))
@@ -216,7 +215,7 @@ def test_criterion_6_linear_complexity():
     sizes = [5, 10, 20, 50, 100, 200]
     counts = []
     for size in sizes:
-        g = _path_graph(size, 4)
+        g = path_graph(size, 4)
         e = explain(m, g, target_class=0)
         assert e.forward_passes_used <= 3 * size + 2
         counts.append(e.forward_passes_used)

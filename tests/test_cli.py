@@ -196,6 +196,19 @@ class TestEvaluateCommand:
         assert option in result.output
         assert not out.exists()
 
+    def test_empty_dataset_is_data_error(self, runner, workspace):
+        dataset = workspace["dir"] / "empty.jsonl"
+        dataset.write_text("")
+        out = workspace["dir"] / "never.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--model", str(workspace["model"]),
+             "--dataset", str(dataset), "--out", str(out)],
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_report(self, runner, workspace):
@@ -368,25 +381,3 @@ class TestTrainCommand:
         )
         assert result.exit_code == 3, result.output
         assert "error:" in result.output
-
-
-class TestBenchCommand:
-    def test_affine_fit_reported(self, runner, workspace):
-        result = runner.invoke(
-            main,
-            ["bench", "--model", str(workspace["model"]),
-             "--sizes", "3,5,8", "--reps", "1"],
-        )
-        assert result.exit_code == 0, result.output
-        assert "fit: passes = 3.0000 * |E| + 1.0000" in result.output
-
-    @pytest.mark.parametrize(
-        "option, value", [("--reps", "0"), ("--sizes", "0"), ("--sizes", "3,x")]
-    )
-    def test_bad_option_is_usage_error(self, runner, workspace, option, value):
-        result = runner.invoke(
-            main, ["bench", "--model", str(workspace["model"]), option, value]
-        )
-        assert result.exit_code == 2, result.output
-        assert option in result.output
-        assert "nan" not in result.output

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,18 +10,21 @@ from edgelens import (
     explain,
     export_dot,
     fidelity_curve,
+    fidelity_minus,
+    fidelity_plus,
+    forward,
     oracle_report,
-    timing_report,
+    rank_edges,
 )
 from edgelens.data import DatasetRecord
 from edgelens.evaluate import (
-    _path_graph,
     curve_to_obj,
     format_table,
     summaries_to_obj,
     write_report,
 )
-from conftest import random_graph, random_model
+from edgelens.explain import score_edges
+from conftest import gin_model, path_graph, random_graph, random_model
 
 
 @pytest.fixture
@@ -68,6 +72,42 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             fidelity_curve(model, mini_dataset, "magic", [0.5])
 
+    @pytest.mark.parametrize("kind", ["gcn", "gin"])
+    def test_equals_per_level_fidelity_loop(self, model, mini_dataset, kind):
+        # Reference: each level's prefix scored by fidelity_plus and
+        # fidelity_minus, one graph at a time, summed in dataset order.
+        if kind == "gin":
+            model = gin_model(72, feature_dim=3, hidden=4, num_layers=2)
+        levels = [0.0, 0.25, 0.5, 0.9, 1.0]
+        rankings = []
+        for rec in mini_dataset:
+            g = rec.graph
+            original = forward(model, g)
+            c = original.predicted_class
+            ranked = rank_edges(score_edges(model, g, c, "linear-gradient", original=original))
+            rankings.append((g, c, original, ranked))
+        n = len(rankings)
+        expected = []
+        for level in levels:
+            fplus_sum = fminus_sum = 0.0
+            for g, c, original, ranked in rankings:
+                prefix = ranked[: math.ceil((1.0 - level) * g.num_undirected_edges)]
+                fplus_sum += fidelity_plus(model, g, prefix, c, original=original)
+                fminus_sum += fidelity_minus(model, g, prefix, c, original=original)
+            expected.append(
+                (level, fplus_sum / n, fminus_sum / n, (fplus_sum - fminus_sum) / n, n)
+            )
+        pts = fidelity_curve(model, mini_dataset, "linear-gradient", levels)
+        got = [
+            (p.sparsity_level, p.fidelity_plus, p.fidelity_minus, p.overall, p.n_instances)
+            for p in pts
+        ]
+        assert got == expected
+
+    def test_empty_dataset_is_undefined(self, model):
+        with pytest.raises(UndefinedMetricError):
+            fidelity_curve(model, [], "linear-gradient", [0.5])
+
 
 class TestCompareMethods:
     def test_single_method_matches_explain(self, model, mini_dataset):
@@ -84,6 +124,10 @@ class TestCompareMethods:
     def test_all_methods_present(self, model, mini_dataset):
         summaries = compare_methods(model, mini_dataset)
         assert [s.method for s in summaries] == ["linear-gradient", "sa", "ig"]
+
+    def test_empty_dataset_is_undefined(self, model):
+        with pytest.raises(UndefinedMetricError):
+            compare_methods(model, [])
 
 
 class TestOracleReport:
@@ -108,24 +152,9 @@ class TestOracleReport:
             oracle_report(model, [])
 
 
-class TestTimingReport:
-    def test_affine_forward_count(self, model):
-        r = timing_report(model, [3, 5, 8], reps=1)
-        assert r.max_residual < 1e-9
-        assert r.slope == pytest.approx(3.0)
-        assert r.intercept == pytest.approx(1.0)
-        for row in r.rows:
-            assert row.forward_passes == 3 * row.num_edges + 1
-
-    def test_path_graph_shape(self):
-        g = _path_graph(4, 3)
-        assert g.n == 5
-        assert g.num_undirected_edges == 4
-
-
 class TestDotExport:
     def test_chosen_edges_red(self, tmp_path, model):
-        g = _path_graph(3, 3)
+        g = path_graph(3, 3)
         e = explain(model, g)
         path = tmp_path / "g.dot"
         export_dot(g, e, path)
@@ -135,7 +164,7 @@ class TestDotExport:
         assert text.count('color="gray"') == g.num_undirected_edges - e.chosen_k
 
     def test_no_explanation_all_gray(self, tmp_path):
-        g = _path_graph(3, 3)
+        g = path_graph(3, 3)
         path = tmp_path / "g.dot"
         export_dot(g, None, path)
         text = path.read_text()

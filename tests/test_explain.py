@@ -41,7 +41,7 @@ class TestImportanceExactness:
             edges = sorted(int(e) for e in rng.choice(mcount, size=size, replace=False))
             c = int(rng.integers(0, 2))
             score = edge_set_importance(m, g, edges, c)
-            denom = _l1_distance(g, edges, 0.0)
+            denom = _l1_distance(g, edges)
             p_full = forward(m, g).probabilities[c]
             p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
             assert abs(score * denom - (p_full - p_base)) < 1e-12
@@ -53,11 +53,10 @@ class TestImportanceExactness:
         assert score == (p_full - p_base) / 2.0
 
     def test_l1_counts_both_directions(self, path3):
-        assert _l1_distance(path3, [0], 0.0) == 2.0
-        assert _l1_distance(path3, [0, 1], 0.0) == 4.0
+        assert _l1_distance(path3, [0]) == 2.0
+        assert _l1_distance(path3, [0, 1]) == 4.0
         g = Graph.undirected(np.ones((2, 1)), [(0, 1, 0.25)])
-        assert _l1_distance(g, [0], 0.0) == 0.5
-        assert _l1_distance(g, [0], 0.5) == 0.5
+        assert _l1_distance(g, [0]) == 0.5
 
     def test_zero_weight_edge_scores_zero(self, small_model):
         g = Graph.undirected(np.ones((3, 2)), [(0, 1, 0.0), (1, 2)])
@@ -137,6 +136,20 @@ class TestFidelity:
                 a = fidelity_plus(small_model, triangle, subset, 0)
                 b = fidelity_minus(small_model, triangle, comp, 0)
                 assert a == b
+
+    def test_plus_remainder_keeps_all_nodes_only_when_empty(self, small_model):
+        # The remainder is edge-induced: a non-empty one keeps only its
+        # edges' endpoints, so isolated node 3 is dropped, while an empty
+        # one evaluates all n nodes as isolated nodes, node 3 included.
+        features = np.arange(8.0).reshape(4, 2) / 8
+        g = Graph.undirected(features, [(0, 1), (1, 2)])
+        p = forward(small_model, g).probabilities[0]
+        all_isolated = forward(small_model, Graph.undirected(features, [])).probabilities[0]
+        without_3 = forward(small_model, Graph.undirected(features[:3], [])).probabilities[0]
+        assert all_isolated != without_3
+        assert fidelity_plus(small_model, g, [0, 1], 0) == p - all_isolated
+        edge_1 = forward(small_model, Graph.undirected(features[1:3], [(0, 1)])).probabilities[0]
+        assert fidelity_plus(small_model, g, [0], 0) == p - edge_1
 
     def test_overall_is_difference(self, path4, small_model):
         for subset in [(0,), (1, 2), (0, 2)]:
@@ -254,7 +267,7 @@ class TestBaselines:
             ig = ig_edge_scores(small_model, g, 0, steps=1).values
             lg = linear_gradient_scores(small_model, g, 0).values
             denoms = np.array(
-                [_l1_distance(g, [e], 0.0) for e in range(g.num_undirected_edges)]
+                [_l1_distance(g, [e]) for e in range(g.num_undirected_edges)]
             )
             np.testing.assert_allclose(ig, lg * denoms, atol=1e-12)
 

@@ -159,7 +159,7 @@ class TestSparsity:
     def test_fraction(self):
         g = random_graph(np.random.default_rng(4), max_nodes=8, max_extra_edges=6)
         s = induce_by_edges(g, {0, 1})
-        assert sparsity(s, g, "edges") == 1 - 2 / g.num_undirected_edges
+        assert sparsity(s, g) == 1 - 2 / g.num_undirected_edges
 
     def test_endpoints(self, triangle):
         assert sparsity(induce_by_edges(triangle, {0, 1, 2}), triangle) == 0.0
@@ -175,7 +175,7 @@ class TestSparsity:
     def test_zero_size_unit_rejected(self):
         g = Graph.undirected(np.ones((2, 1)), [])
         with pytest.raises(UndefinedMetricError):
-            sparsity(induce_by_edges(g, set()), g, "edges")
+            sparsity(induce_by_edges(g, set()), g)
 
 
 class TestConnectedComponents:

@@ -237,15 +237,13 @@ class TestForwardOnInduced:
 
 
 class TestCounter:
-    def test_counts_and_resets(self, path3, small_model):
+    def test_counts(self, path3, small_model):
         c = ForwardCounter()
         assert c.count == 0
         forward(small_model, path3, c)
         assert c.count == 1
         forward(small_model, path3, c)
         assert c.count == 2
-        c.reset()
-        assert c.count == 0
 
 
 class TestModelIO:
