@@ -10,6 +10,7 @@ pipeline costs O(|E|) forward passes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,20 @@ class Explanation:
     forward_passes_used: int
 
 
+def _target(m: ModelSpec, target_class) -> int:
+    """target_class as an int; InvalidSelectionError unless it is an
+    integer in [0, m.num_classes)."""
+    if (
+        isinstance(target_class, bool)
+        or not isinstance(target_class, numbers.Integral)
+        or not 0 <= target_class < m.num_classes
+    ):
+        raise InvalidSelectionError(
+            f"target class {target_class!r} is not an integer in [0, {m.num_classes})"
+        )
+    return int(target_class)
+
+
 def _l1_distance(g: Graph, edges) -> float:
     """Entrywise L1 distance between the adjacency and its base point,
     summed over both directed realizations of each zeroed edge, one edge at
@@ -113,6 +128,7 @@ def edge_set_importance(
 ) -> float:
     """Slope of the prediction line from the base point of `edges` to the
     graph: (phi(c|A) - phi(c|A_base)) / |A - A_base|_1."""
+    target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if not selected.any():
         raise UndefinedMetricError("importance of an empty edge set is undefined")
@@ -139,6 +155,7 @@ def linear_gradient_scores(
     """Per-edge importance; exactly |E| forwards plus one for the original
     prediction when it is not supplied. Edge e's base point is
     g.edge_weight with entry e at 0."""
+    target_class = _target(m, target_class)
     if original is None:
         original = forward(m, g, counter)
     num_edges = g.num_undirected_edges
@@ -164,9 +181,14 @@ def sa_edge_scores(
     """Local-sensitivity baseline: absolute central finite difference of the
     class probability w.r.t. each edge weight, both directions moved
     together, probe points clamped to [0, 1]."""
+    target_class = _target(m, target_class)
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h={h!r} must be finite and > 0")
     w = g.edge_weight
     hi = np.minimum(1.0, w + h)
     lo = np.maximum(0.0, w - h)
+    if np.any(hi == lo):
+        raise ValueError(f"step h={h!r} is too small to move every edge weight")
     # Passes 2e and 2e + 1 move edge e to hi and to lo.
     edges = np.repeat(np.arange(g.num_undirected_edges), 2)
     probes = np.stack((hi, lo), axis=1).ravel()
@@ -190,6 +212,7 @@ def ig_edge_scores(
     Riemann sum telescoping-exact in the one-edge one-step case. Each step
     is |E| + 1 passes: the path point, then one per pulled edge.
     """
+    target_class = _target(m, target_class)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     num_edges = g.num_undirected_edges
@@ -286,6 +309,7 @@ def fidelity_plus(
 ) -> float:
     """Probability drop when the selected edges are removed: the remainder
     is edge-induced from the complement edge set."""
+    target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
@@ -302,6 +326,7 @@ def fidelity_minus(
     original: Prediction | None = None,
 ) -> float:
     """Probability drop when only the selected edges are kept."""
+    target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
@@ -317,6 +342,7 @@ def overall_fidelity(
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
+    target_class = _target(m, target_class)
     if original is None:
         original = forward(m, g, counter)
     return fidelity_plus(m, g, edges, target_class, counter, original) - fidelity_minus(
@@ -349,6 +375,7 @@ def linear_search(
 ) -> Explanation:
     """Evaluate the ranked-prefix subgraphs and keep the overall-fidelity
     maximizer; ties resolve to the smallest prefix."""
+    target_class = _target(m, target_class)
     num_edges = g.num_undirected_edges
     if num_edges < 1:
         raise UndefinedMetricError("cannot search a graph without edges")
@@ -395,13 +422,12 @@ def explain(
     With the default method this costs at most 3|E| + 2 forward passes:
     1 original + |E| scoring + 2 per prefix candidate.
     """
-    if target_class != "auto" and not 0 <= int(target_class) < m.num_classes:
-        raise InvalidSelectionError(
-            f"target class {target_class} outside [0, {m.num_classes})"
-        )
+    auto = isinstance(target_class, str) and target_class == "auto"
+    if not auto:
+        target_class = _target(m, target_class)
     counter = ForwardCounter()
     original = forward(m, g, counter)
-    c = original.predicted_class if target_class == "auto" else int(target_class)
+    c = original.predicted_class if auto else target_class
     scores = score_edges(m, g, c, method, counter, original)
     ranked = rank_edges(scores)
     return linear_search(
@@ -426,6 +452,7 @@ def brute_force_best_subgraph(
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of overall fidelity over every nonempty undirected
     edge subset; ties go to the lexicographically smallest subset."""
+    target_class = _target(m, target_class)
     num_edges = g.num_undirected_edges
     if num_edges > cap:
         raise EnumerationTooLargeError(f"{num_edges} edges exceeds cap {cap}")

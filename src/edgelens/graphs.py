@@ -24,6 +24,14 @@ from .errors import (
 GRAPH_SCHEMA_VERSION = 1
 
 
+def check_edge_weights(w: np.ndarray) -> None:
+    """Raise DataFormatError unless every weight of the float64 array `w`
+    is finite and in [0, 1]."""
+    valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
+    if not valid.all():
+        raise DataFormatError(f"edge weight {w.flat[np.argmin(valid)]} outside [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """An attributed undirected graph.
@@ -64,9 +72,7 @@ class Graph:
             raise DataFormatError(f"edge ({a[i]}, {b[i]}) out of range for n={n}")
         if np.any(a == b):
             raise DataFormatError("self-loops are not allowed in input graphs")
-        valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
-        if not valid.all():
-            raise DataFormatError(f"edge weight {w[np.argmin(valid)]} outside [0, 1]")
+        check_edge_weights(w)
         u, v = np.minimum(a, b), np.maximum(a, b)
         order = np.lexsort((v, u))
         repeated = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)

@@ -1,6 +1,9 @@
-"""The row engine against the loop-built reference in reference_engine.py:
+"""The row engine against the loop-built references in reference_engine.py:
 every probability, score and fidelity must be bitwise equal, on BA-2Motifs
-graphs of about 25, 60 and 205 nodes, under a GCN and a GIN."""
+graphs of about 25, 60 and 205 nodes, under a GCN and a GIN. Graphs below
+models.CSR_MAX_FILL take the CSR path and match the loop CSR reference
+bitwise and the dense one to 1e-12; the others match the dense one
+bitwise."""
 
 import sys
 import tracemalloc
@@ -30,6 +33,7 @@ from conftest import gin_model, reweighted
 from reference_engine import (
     loop_adjacency,
     loop_brute_force,
+    loop_csr_probabilities,
     loop_fidelities,
     loop_probabilities,
     loop_probabilities_on_edges,
@@ -69,14 +73,22 @@ def test_every_prefix_matches_reference(kind, base_nodes, weighted):
     m = MODELS[kind]()
     g = ba_graph(base_nodes, seed=base_nodes + 1, weighted=weighted)
     num_edges = g.num_undirected_edges
+    csr = takes_csr_path(g)
+    assert csr == (base_nodes == 200)
+    exact = loop_csr_probabilities if csr else loop_probabilities
+
+    def close_to_dense(got, want):
+        if csr:
+            np.testing.assert_allclose(got, want(loop_probabilities), rtol=0, atol=1e-12)
+
     original = forward(m, g)
-    np.testing.assert_array_equal(
-        original.probabilities, loop_probabilities(m, loop_adjacency(g), g.features)
-    )
+    np.testing.assert_array_equal(original.probabilities, exact(m, loop_adjacency(g), g.features))
+    close_to_dense(original.probabilities, lambda p: p(m, loop_adjacency(g), g.features))
     c = original.predicted_class
     scores = linear_gradient_scores(m, g, c, original=original).values
     if not weighted:
-        np.testing.assert_array_equal(scores, loop_scores(m, g, c))
+        np.testing.assert_array_equal(scores, loop_scores(m, g, c, exact))
+        close_to_dense(scores, lambda p: loop_scores(m, g, c, p))
     ranked = [int(i) for i in np.argsort(-scores, kind="stable")]
     # k = 0 and k = |E| give the empty and the full mask on both sides.
     for k in range(num_edges + 1):
@@ -85,11 +97,32 @@ def test_every_prefix_matches_reference(kind, base_nodes, weighted):
             fidelity_plus(m, g, prefix, c, original=original),
             fidelity_minus(m, g, prefix, c, original=original),
         )
-        assert got == loop_fidelities(m, g, prefix, c), k
+        assert got == loop_fidelities(m, g, prefix, c, exact), k
+        close_to_dense(got, lambda p: loop_fidelities(m, g, prefix, c, p))
     e = explain(m, g, target_class=c)
     assert e.forward_passes_used == 3 * num_edges + 1
-    fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c)
+    fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c, exact)
     assert (e.fidelity_plus, e.fidelity_minus, e.overall) == (fplus, fminus, fplus - fminus)
+
+
+def takes_csr_path(g):
+    return 2 * g.num_undirected_edges + g.n < models.CSR_MAX_FILL * g.n * g.n
+
+
+def record_builds(monkeypatch, *names):
+    """Wrap the models functions `names` so that each call appends (name,
+    number of rows built) to the returned list."""
+    built = []
+    for name in names:
+        build = getattr(models, name)
+
+        def recorded(*args, name=name, build=build):
+            out = build(*args)
+            built.append((name, len(out)))
+            return out
+
+        monkeypatch.setattr(models, name, recorded)
+    return built
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -180,6 +213,99 @@ def test_mixed_row_batch_matches_reference(kind, monkeypatch):
         else:
             want = loop_probabilities_on_edges(m, g, np.flatnonzero(kept[i - len(reweights)]))
         np.testing.assert_array_equal(pred.probabilities, want)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
+    """The CSR path's form of the test above: on a 205-node graph, with the
+    byte bound patched down to 4 rows of values per chunk, re-weighted rows
+    and fidelity rows of several node counts in one batch, the empty mask,
+    the full mask and a kept 0-weight edge among them, plus node-induced
+    rows, whose edges to dropped nodes carry nonzero weights."""
+    m = MODELS[kind]()
+    rng = np.random.default_rng(30)
+    g = ba_graph(200, seed=30, weighted=True)
+    w = np.where(rng.uniform(size=g.num_undirected_edges) < 0.2, 0.0, g.edge_weight)
+    g = Graph(g.features, g.edge_u, g.edge_v, w)
+    assert takes_csr_path(g)
+    num_edges, zero = g.num_undirected_edges, int(np.flatnonzero(w == 0.0)[0])
+    per_chunk = 4
+    nnz = 2 * num_edges + (g.n if kind == "gcn" else 0)
+    monkeypatch.setattr(models, "STACK_BYTES", 8 * nnz * per_chunk)
+    reweights = rng.uniform(size=(5, num_edges))
+    reweights[rng.uniform(size=reweights.shape) < 0.3] = 0.0
+    kept = [rng.uniform(size=num_edges) < p for p in (0.03, 0.1, 0.3, 0.6, 0.9) for _ in range(2)]
+    kept += [np.zeros(num_edges, bool), np.ones(num_edges, bool), np.arange(num_edges) == zero]
+    kept[0][zero] = True
+    kept = np.array(kept)
+    fid_weights, fid_nodes = subgraph_rows(g, kept)
+    assert len(set(fid_nodes.sum(axis=1).tolist())) >= 6
+    induced = rng.uniform(size=(3, g.n)) < np.array([[0.2], [0.5], [0.8]])
+    weights = np.concatenate((reweights, fid_weights, np.repeat(w[None], len(induced), axis=0)))
+    nodes = np.concatenate((np.ones((len(reweights), g.n), bool), fid_nodes, induced))
+    order = rng.permutation(len(weights))
+    built = record_builds(monkeypatch, "csr_values")
+    got = forward_rows(m, g, weights[order], nodes[order])
+    chunks = [b for _, b in built]
+    assert len(chunks) >= 2 and max(chunks) == per_chunk and sum(chunks) == len(order)
+    references = (loop_csr_probabilities, loop_probabilities)
+    for pred, i in zip(got, order):
+        if i < len(reweights):
+            a = loop_adjacency(g, dict(enumerate(reweights[i].tolist())))
+            want = [p(m, a, g.features) for p in references]
+        elif i < len(reweights) + len(kept):
+            edges = np.flatnonzero(kept[i - len(reweights)])
+            want = [loop_probabilities_on_edges(m, g, edges, p) for p in references]
+        else:
+            keep = nodes[i]
+            a = loop_adjacency(g)[np.ix_(keep, keep)]
+            want = [p(m, a, g.features[keep]) for p in references]
+        np.testing.assert_array_equal(pred.probabilities, want[0])
+        np.testing.assert_allclose(pred.probabilities, want[1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_one_graph_on_each_side_of_the_switch(kind, monkeypatch):
+    """A 25-node graph with CSR_MAX_FILL patched just above its fill takes
+    the CSR path, just below it the dense path: each explanation matches
+    its own reference bitwise, and the two agree to 1e-12."""
+    m = MODELS[kind]()
+    g = ba_graph(20, seed=31, weighted=True)
+    fill = (2 * g.num_undirected_edges + g.n) / g.n**2
+    built = record_builds(monkeypatch, "weighted_adjacency", "csr_values")
+    got = {}
+    for limit, path, reference in (
+        (1.001 * fill, "csr_values", loop_csr_probabilities),
+        (0.999 * fill, "weighted_adjacency", loop_probabilities),
+    ):
+        monkeypatch.setattr(models, "CSR_MAX_FILL", limit)
+        built.clear()
+        e = explain(m, g)
+        assert {name for name, _ in built} == {path}
+        c = e.target_class
+        np.testing.assert_array_equal(e.scores, loop_scores(m, g, c, reference))
+        fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c, reference)
+        assert (e.fidelity_plus, e.fidelity_minus) == (fplus, fminus)
+        got[path] = e
+    csr = got["csr_values"]
+    np.testing.assert_allclose(csr.scores, got["weighted_adjacency"].scores, rtol=0, atol=1e-12)
+    dense = loop_fidelities(m, g, csr.ranked_edges[: csr.chosen_k], csr.target_class)
+    np.testing.assert_allclose((csr.fidelity_plus, csr.fidelity_minus), dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("base_nodes", [20, 200], ids=["dense", "csr"])
+@pytest.mark.parametrize("bad", [-1.0, 2.0, np.nan, np.inf], ids=["negative", "above-1", "nan", "inf"])
+def test_forward_rejects_weights_outside_unit_interval(kind, base_nodes, bad):
+    m = MODELS[kind]()
+    g = ba_graph(base_nodes, seed=32, weighted=True)
+    assert takes_csr_path(g) == (base_nodes == 200)
+    w = g.edge_weight.copy()
+    w[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="outside"):
+            forward(m, g, weights=w)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

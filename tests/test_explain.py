@@ -238,6 +238,38 @@ class TestExplain:
                 explain(small_model, g)
 
 
+# Every public entry point that takes a target class, on path3 (edges 0, 1).
+CLASS_ENTRY_POINTS = {
+    "linear_gradient_scores": lambda m, g, c: linear_gradient_scores(m, g, c),
+    "sa_edge_scores": lambda m, g, c: sa_edge_scores(m, g, c),
+    "ig_edge_scores": lambda m, g, c: ig_edge_scores(m, g, c, steps=2),
+    "fidelity_plus": lambda m, g, c: fidelity_plus(m, g, [0], c),
+    "fidelity_minus": lambda m, g, c: fidelity_minus(m, g, [0], c),
+    "overall_fidelity": lambda m, g, c: overall_fidelity(m, g, [0], c),
+    "edge_set_importance": lambda m, g, c: edge_set_importance(m, g, [0], c),
+    "linear_search": lambda m, g, c: linear_search(m, g, (1, 0), c),
+    "brute_force_best_subgraph": lambda m, g, c: brute_force_best_subgraph(m, g, c),
+    "explain": lambda m, g, c: explain(m, g, target_class=c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ENTRY_POINTS))
+class TestTargetClass:
+    @pytest.mark.parametrize("target", [2, 7, -1, 1.5, 1.0, True, "1", None])
+    def test_rejects_class_that_is_not_a_model_class(self, path3, small_model, name, target):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidSelectionError, match="target class"):
+                CLASS_ENTRY_POINTS[name](small_model, path3, target)
+
+    def test_numpy_integer_is_the_same_class(self, path3, small_model, name):
+        run = CLASS_ENTRY_POINTS[name]
+        got, want = run(small_model, path3, np.int64(1)), run(small_model, path3, 1)
+        if isinstance(want, EdgeScores):
+            got, want = (got.values, got.target_class), (want.values, want.target_class)
+        assert repr(got) == repr(want)
+
+
 class TestFidelityInput:
     def test_unknown_edges_rejected(self, path3, small_model):
         for fidelity in (fidelity_plus, fidelity_minus):
@@ -277,6 +309,13 @@ class TestBaselines:
         coarse = ig_edge_scores(small_model, g, 0, steps=50).values
         fine = ig_edge_scores(small_model, g, 0, steps=1000).values
         assert np.max(np.abs(coarse - fine)) < 5e-3
+
+    @pytest.mark.parametrize("h", [-1e-3, 0.0, np.nan, np.inf, 1e-320])
+    def test_sa_rejects_step_that_moves_nothing(self, path3, small_model, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step h"):
+                sa_edge_scores(small_model, path3, 0, h=h)
 
     def test_ig_rejects_zero_steps(self, path3, small_model):
         with pytest.raises(ValueError):
