@@ -104,13 +104,13 @@ def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarr
     return out
 
 
-def _one_edge_moved(m, g, base, edges, values, target_class, counter) -> np.ndarray:
-    """Target-class probability of g with its edges carrying the (E,) `base`
-    but for edge edges[i], moved to values[i], or for none when edges[i] is
-    negative: one pass per entry of `edges`."""
+def _one_edge_moved(m, g, bases, base_of, edges, values, target_class, counter) -> np.ndarray:
+    """Target-class probability of g with its edges carrying row base_of[i]
+    of the (k, E) `bases` but for edge edges[i], moved to values[i], or for
+    none when edges[i] is negative: one pass per entry of `edges`."""
 
     def rows(lo, hi):
-        weights = np.repeat(base[None], hi - lo, axis=0)
+        weights = bases[base_of[lo:hi]]
         moved = np.flatnonzero(edges[lo:hi] >= 0)
         weights[moved, edges[lo + moved]] = values[lo + moved]
         return weights, np.ones((hi - lo, g.n), dtype=bool)
@@ -160,8 +160,9 @@ def linear_gradient_scores(
         original = forward(m, g, counter)
     num_edges = g.num_undirected_edges
     edges = np.arange(num_edges)
+    base_of = np.zeros(num_edges, dtype=np.intp)
     at_base = _one_edge_moved(
-        m, g, g.edge_weight, edges, np.zeros(num_edges), target_class, counter
+        m, g, g.edge_weight[None], base_of, edges, np.zeros(num_edges), target_class, counter
     )
     # _l1_distance of one edge: 2 w_e; a 0 distance scores 0.
     denom = 2.0 * g.edge_weight
@@ -192,7 +193,8 @@ def sa_edge_scores(
     # Passes 2e and 2e + 1 move edge e to hi and to lo.
     edges = np.repeat(np.arange(g.num_undirected_edges), 2)
     probes = np.stack((hi, lo), axis=1).ravel()
-    p = _one_edge_moved(m, g, w, edges, probes, target_class, counter)
+    base_of = np.zeros(len(edges), dtype=np.intp)
+    p = _one_edge_moved(m, g, w[None], base_of, edges, probes, target_class, counter)
     values = np.abs(p[0::2] - p[1::2]) / (hi - lo)
     return EdgeScores(values=values, target_class=target_class, method="sa-fd")
 
@@ -210,20 +212,25 @@ def ig_edge_scores(
     Each segment contributes, per edge, the forward difference obtained by
     pulling that edge back to its previous path value, which makes the
     Riemann sum telescoping-exact in the one-edge one-step case. Each step
-    is |E| + 1 passes: the path point, then one per pulled edge.
+    is |E| + 1 passes: the path point, then one per pulled edge. All steps'
+    passes go through one _probabilities call, and the steps' differences
+    are summed in step order.
     """
     target_class = _target(m, target_class)
     if steps < 1:
         raise ValueError("steps must be >= 1")
     num_edges = g.num_undirected_edges
-    # Pass 0 of a step moves no edge; pass e + 1 pulls edge e back.
-    edges = np.arange(-1, num_edges)
-    path = [(j / steps) * g.edge_weight for j in range(steps + 1)]
+    path = np.array([(j / steps) * g.edge_weight for j in range(steps + 1)])
+    # Step j is rows (j - 1)(E + 1) .. j(E + 1) - 1 on path point j: its
+    # pass 0 moves no edge, its pass e + 1 pulls edge e back to point j - 1.
+    block = num_edges + 1
+    base_of = np.repeat(np.arange(steps), block)
+    edges = np.tile(np.arange(-1, num_edges), steps)
+    pulled = np.concatenate((np.full((steps, 1), np.nan), path[:-1]), axis=1).ravel()
+    p = _one_edge_moved(m, g, path[1:], base_of, edges, pulled, target_class, counter)
     values = np.zeros(num_edges)
-    for j in range(1, steps + 1):
-        pulled = np.concatenate(([np.nan], path[j - 1]))
-        p = _one_edge_moved(m, g, path[j], edges, pulled, target_class, counter)
-        values += p[0] - p[1:]
+    for step in p.reshape(steps, block):
+        values += step[0] - step[1:]
     return EdgeScores(values=values, target_class=target_class, method="ig-fd")
 
 
@@ -342,12 +349,14 @@ def overall_fidelity(
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
+    """fidelity_plus minus fidelity_minus of the selected edges."""
     target_class = _target(m, target_class)
+    selected = edge_mask(g, edges)
     if original is None:
         original = forward(m, g, counter)
-    return fidelity_plus(m, g, edges, target_class, counter, original) - fidelity_minus(
-        m, g, edges, target_class, counter, original
-    )
+    sets = selected[None]
+    plus, minus = _pair_drops(m, g, 1, lambda i: sets[i], target_class, counter, original)
+    return float(plus[0] - minus[0])
 
 
 def _candidate_range(num_edges: int, k_range: str) -> range:

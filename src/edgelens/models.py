@@ -10,10 +10,12 @@ base points sound.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import DataFormatError, ModelFormatError, NumericalFailureError
 from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask
@@ -128,16 +130,6 @@ class ForwardCounter:
         self.count += 1
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def inverse_sqrt_degree(a_hat: np.ndarray) -> np.ndarray:
     """D^-1/2 of the GCN normalization, from dense (..., n, n) adjacencies
     that already carry their self loops.
@@ -147,6 +139,20 @@ def inverse_sqrt_degree(a_hat: np.ndarray) -> np.ndarray:
     matches gcn_normalize bit for bit on weighted graphs.
     """
     return 1.0 / np.sqrt(a_hat.sum(axis=-1))
+
+
+def csr_matmul(operator: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
+    """operator @ h for a float64 (n, d) h, bit for bit: the same call of
+    scipy's kernel csr_matvecs that csr_matrix.__matmul__ ends in, without
+    its dispatch. Each output row starts at 0 and adds a_ij * h_j one stored
+    entry at a time, in stored order."""
+    n, d = h.shape
+    out = np.zeros((operator.shape[0], d))
+    csr_matvecs(
+        operator.shape[0], n, d, operator.indptr, operator.indices, operator.data,
+        h.ravel(), out.ravel(),
+    )
+    return out
 
 
 def forward_dense(
@@ -159,31 +165,46 @@ def forward_dense(
     """One full model evaluation phi(A, X) over a prebuilt (s, s) operator,
     a dense array or a CSR matrix: the normalization D^-1/2 (A + I) D^-1/2
     for a GCN, A itself for a GIN. With the boolean (s,) `kept`, only the
-    kept nodes are pooled."""
+    kept nodes are pooled.
+
+    At these sizes a pass costs mostly numpy's per-call overhead, so each
+    step takes as few calls as its arithmetic allows: biases and ReLUs in
+    place, GIN's (1 + eps) h added onto A h, a CSR product straight through
+    csr_matmul. None of it changes a bit (tests/test_engine_parity.py).
+    """
     if counter is not None:
         counter.tick()
+    sparse = not isinstance(operator, np.ndarray)
     h = features
     if m.conv_kind == "gcn":
         for layer in m.layers:
-            h = _relu(operator @ h @ layer.weight + layer.bias)
+            z = (csr_matmul(operator, h) if sparse else operator @ h) @ layer.weight
+            z += layer.bias
+            h = np.maximum(z, 0.0, out=z)
     else:
         for layer in m.layers:
-            agg = (1.0 + layer.epsilon) * h + operator @ h
-            h = _relu(agg @ layer.w1 + layer.b1) @ layer.w2 + layer.b2
+            agg = csr_matmul(operator, h) if sparse else operator @ h
+            agg += (1.0 + layer.epsilon) * h
+            z = agg @ layer.w1
+            z += layer.b1
+            h = np.maximum(z, 0.0, out=z) @ layer.w2
+            h += layer.b2
     if kept is not None:
         h = h[kept]
-    # h.mean(axis=0) is this sum divided by the node count, bit for bit
-    # (tests/test_engine_parity.py compares against it); the method calls
-    # skip numpy's per-call wrappers, a large share of a 10-node pass.
-    pooled = h.sum(axis=0)
+    # h.mean(axis=0) is this sum divided by the node count, bit for bit.
+    pooled = np.add.reduce(h, 0)
     if m.pooling == "mean":
         pooled /= h.shape[0]
     cls = m.classifier
-    hidden = _relu(pooled @ cls.w1 + cls.b1)
-    logits = hidden @ cls.w2 + cls.b2
-    if not np.isfinite(logits).all():
+    hidden = pooled @ cls.w1
+    hidden += cls.b1
+    logits = np.maximum(hidden, 0.0, out=hidden) @ cls.w2
+    logits += cls.b2
+    values = logits.tolist()
+    if not all(map(math.isfinite, values)):
         raise NumericalFailureError("non-finite logits")
-    probs = softmax(logits)
+    probs = np.exp(logits - max(values))
+    probs /= np.add.reduce(probs)
     return Prediction(
         logits=logits,
         probabilities=probs,
@@ -302,13 +323,24 @@ def forward_rows(
     (see _csr_forward_rows). Otherwise rows are grouped by node count, and
     each group's dense operators are built as stacks of at most
     STACK_BYTES; forward_dense then runs once per row.
+
+    A model whose finite parameters overflow float64 raises
+    NumericalFailureError from forward_dense, with no numpy warning: the
+    call runs with overflow and invalid operations ignored.
     """
     if g.d != m.input_dim:
         raise NumericalFailureError(f"feature dim {g.d} != model input dim {m.input_dim}")
     if g.n == 0:
         raise DataFormatError("cannot evaluate a graph with no nodes")
-    if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
-        return _csr_forward_rows(m, g, weights, nodes, counter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
+            return _csr_forward_rows(m, g, weights, nodes, counter)
+        return _dense_forward_rows(m, g, weights, nodes, counter)
+
+
+def _dense_forward_rows(m, g, weights, nodes, counter) -> list[Prediction]:
+    """forward_rows over each row's kept nodes only: rows grouped by node
+    count, each group's operators built as stacks of at most STACK_BYTES."""
     sizes = nodes.sum(axis=1)
     out: list = [None] * len(sizes)
     for s in np.unique(sizes).tolist():

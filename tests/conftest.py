@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,17 @@ def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2):
     classifier = Classifier(w1=u(hidden, hidden), b1=u(hidden), w2=u(hidden, num_classes),
                             b2=u(num_classes))
     return ModelSpec("gin", layers, classifier, "mean", num_classes)
+
+
+def overflowing(m):
+    """m with every layer's weight matrices scaled by 1e200: its parameters
+    are finite, but every pass overflows float64."""
+    names = ("weight",) if m.conv_kind == "gcn" else ("w1", "w2")
+    layers = tuple(
+        dataclasses.replace(layer, **{k: getattr(layer, k) * 1e200 for k in names})
+        for layer in m.layers
+    )
+    return dataclasses.replace(m, layers=layers)
 
 
 def path_graph(num_edges, feature_dim):

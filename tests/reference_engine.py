@@ -133,6 +133,23 @@ def loop_scores(m: ModelSpec, g: Graph, c: int, probabilities=loop_probabilities
     )
 
 
+def loop_ig_scores(
+    m: ModelSpec, g: Graph, c: int, steps: int, probabilities=loop_probabilities
+) -> np.ndarray:
+    """IG scores: for each step j, the path point (j / steps) w, then the
+    same point with each edge in turn pulled back to ((j - 1) / steps) w_e;
+    the differences are summed in step order."""
+    values = np.zeros(g.num_undirected_edges)
+    weights = g.edge_weight.tolist()
+    for j in range(1, steps + 1):
+        point = {e: (j / steps) * w for e, w in enumerate(weights)}
+        p = probabilities(m, loop_adjacency(g, point), g.features)[c]
+        for e, w in enumerate(weights):
+            pulled = {**point, e: ((j - 1) / steps) * w}
+            values[e] += p - probabilities(m, loop_adjacency(g, pulled), g.features)[c]
+    return values
+
+
 def loop_brute_force(m: ModelSpec, g: Graph, c: int) -> tuple[tuple[int, ...], float]:
     best, best_score = None, -np.inf
     for size in range(1, g.num_undirected_edges + 1):

@@ -1,19 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import edgelens
 from edgelens import (
     Graph,
     gen_ba2motifs_mini,
     init_gcn,
+    load_model,
     save_dataset,
     save_graph,
     save_model,
 )
 from edgelens.data import DatasetRecord
 from edgelens.cli import main
+
+from conftest import overflowing
 
 
 @pytest.fixture
@@ -135,6 +143,28 @@ class TestExplainCommand:
         )
         assert result.exit_code == 3, result.output
         assert "error:" in result.output
+
+    def test_overflowing_model_is_numerical_failure(self, workspace):
+        """Exit code 4, and the error line is all of stderr: no numpy
+        warning reaches the user. A subprocess, so stderr is the real one
+        and Python's default warning filters apply."""
+        model = workspace["dir"] / "huge_model.json"
+        save_model(overflowing(load_model(workspace["model"])), model)
+        src = Path(edgelens.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-c", "from edgelens.cli import main; main()",
+                "explain",
+                "--model", str(model),
+                "--graph", str(workspace["graph"]),
+                "--out", str(workspace["dir"] / "x.json"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == "error: non-finite logits\n"
 
     @pytest.mark.parametrize("target, code", [("5", 3), ("-1", 3), ("two", 2)])
     def test_bad_class(self, runner, workspace, target, code):

@@ -11,10 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from edgelens import (
     DataFormatError,
     Graph,
+    NumericalFailureError,
     brute_force_best_subgraph,
     explain,
     fidelity_minus,
@@ -27,14 +29,15 @@ from edgelens import (
     sa_edge_scores,
 )
 from edgelens import models
-from edgelens.models import STACK_BYTES, forward_rows, subgraph_rows
+from edgelens.models import STACK_BYTES, csr_matmul, forward_rows, subgraph_rows
 
-from conftest import gin_model, reweighted
+from conftest import gin_model, overflowing, path_graph, reweighted
 from reference_engine import (
     loop_adjacency,
     loop_brute_force,
     loop_csr_probabilities,
     loop_fidelities,
+    loop_ig_scores,
     loop_probabilities,
     loop_probabilities_on_edges,
     loop_scores,
@@ -103,6 +106,53 @@ def test_every_prefix_matches_reference(kind, base_nodes, weighted):
     assert e.forward_passes_used == 3 * num_edges + 1
     fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c, exact)
     assert (e.fidelity_plus, e.fidelity_minus, e.overall) == (fplus, fminus, fplus - fminus)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("base_nodes", [20, 200], ids=["n25", "n205"])
+def test_ig_matches_reference(kind, base_nodes):
+    """IG makes all its steps' rows in one batched call; the loop reference
+    evaluates each step's path point and pulled edges in turn. At n = 205
+    the rows span two chunks, the boundary inside a step."""
+    m = MODELS[kind]()
+    g = ba_graph(base_nodes, seed=base_nodes + 3, weighted=True)
+    csr = takes_csr_path(g)
+    assert csr == (base_nodes == 200)
+    exact = loop_csr_probabilities if csr else loop_probabilities
+    got = ig_edge_scores(m, g, 1, steps=3).values
+    np.testing.assert_array_equal(got, loop_ig_scores(m, g, 1, 3, exact))
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("d", [1, 7, 32])
+def test_csr_matmul_is_scipy_product(index_dtype, d):
+    """models.csr_matmul calls scipy's kernel directly: pinned bitwise to
+    operator @ h, so a scipy release that moves or changes the kernel fails
+    here."""
+    rng = np.random.default_rng(33)
+    a = sp.random(205, 205, density=0.02, format="csr", random_state=34)
+    a.indices = a.indices.astype(index_dtype)
+    a.indptr = a.indptr.astype(index_dtype)
+    h = rng.uniform(-1.0, 1.0, size=(205, d))
+    got = csr_matmul(a, h)
+    assert a.indices.dtype == a.indptr.dtype == index_dtype
+    np.testing.assert_array_equal(got, a @ h)
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("n", [3, 300], ids=["dense", "csr"])
+def test_overflowing_model_fails_typed_without_warning(kind, n):
+    """Finite parameters whose pass overflows: NumericalFailureError, and
+    no numpy RuntimeWarning before it, for one row and for a batch."""
+    m = overflowing(MODELS[kind]())
+    g = path_graph(n - 1, FEATURES)
+    assert takes_csr_path(g) == (n == 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="non-finite logits"):
+            forward(m, g)
+        with pytest.raises(NumericalFailureError, match="non-finite logits"):
+            ig_edge_scores(m, g, 0, steps=1)
 
 
 def takes_csr_path(g):
@@ -377,6 +427,20 @@ def test_dense_graph_memory_is_bounded():
     tracemalloc.start()
     try:
         sa_edge_scores(m, g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * STACK_BYTES
+
+
+def test_dense_graph_ig_memory_is_bounded():
+    """IG's form of the test above: 2 steps of 2017 rows on the complete
+    64-node graph go through one call, still made a chunk at a time."""
+    m = MODELS["gcn"]()
+    g = complete_graph(64, seed=29)
+    tracemalloc.start()
+    try:
+        ig_edge_scores(m, g, 0, steps=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
