@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,40 +176,15 @@ def export_dot(g: Graph, explanation: Explanation | None, path) -> None:
 
 
 def curve_to_obj(points) -> list[dict]:
-    return [
-        {
-            "sparsity_level": p.sparsity_level,
-            "fidelity_plus": p.fidelity_plus,
-            "fidelity_minus": p.fidelity_minus,
-            "overall": p.overall,
-            "n_instances": p.n_instances,
-        }
-        for p in points
-    ]
+    return [asdict(p) for p in points]
 
 
 def summaries_to_obj(summaries) -> list[dict]:
-    return [
-        {
-            "method": s.method,
-            "mean_overall": s.mean_overall,
-            "mean_sparsity": s.mean_sparsity,
-            "mean_forward_passes": s.mean_forward_passes,
-            "n_instances": s.n_instances,
-        }
-        for s in summaries
-    ]
+    return [asdict(s) for s in summaries]
 
 
 def oracle_report_to_obj(r: OracleReport) -> dict:
-    return {
-        "n_evaluated": r.n_evaluated,
-        "n_skipped": r.n_skipped,
-        "mean_gap": r.mean_gap,
-        "max_gap": r.max_gap,
-        "mean_ratio": r.mean_ratio,
-        "gaps": list(r.gaps),
-    }
+    return asdict(r)
 
 
 def format_table(rows: list[dict]) -> str:

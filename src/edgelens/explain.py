@@ -63,7 +63,7 @@ class Explanation:
     overall: float
     sparsity: float
     target_class: int
-    method: str
+    method: str | None  # None when linear_search is called directly
     forward_passes_used: int
 
 
@@ -380,7 +380,7 @@ def linear_search(
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
     scores: np.ndarray | None = None,
-    method: str = "external",
+    method: str | None = None,
 ) -> Explanation:
     """Evaluate the ranked-prefix subgraphs and keep the overall-fidelity
     maximizer; ties resolve to the smallest prefix."""

@@ -209,22 +209,26 @@ def _build(g: Graph, nodes: frozenset[int], edges: frozenset[int]) -> InducedSub
     )
 
 
+def _internal_edges(g: Graph, vs: Iterable[int]) -> frozenset[int]:
+    """The parent edges with both endpoints in vs."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(vs)] = True
+    return frozenset(np.flatnonzero(inside[g.edge_u] & inside[g.edge_v]).tolist())
+
+
+def _endpoints(g: Graph, es: Iterable[int]) -> frozenset[int]:
+    """The endpoints of the edges es."""
+    return frozenset(v for e in es for v in g.undirected_endpoints(e))
+
+
 def induce_by_nodes(g: Graph, vs: Iterable[int]) -> InducedSubgraph:
     """Subgraph on node set vs with every parent edge internal to vs."""
-    vs = _check_nodes(g, vs)
-    edges = frozenset(
-        i
-        for i in range(g.num_undirected_edges)
-        if set(g.undirected_endpoints(i)) <= vs
-    )
-    return _build(g, vs, edges)
+    return induce_by_nodes_and_edges(g, vs, ())
 
 
 def induce_by_edges(g: Graph, es: Iterable[int]) -> InducedSubgraph:
     """Subgraph on edge set es; nodes are exactly the endpoints of es."""
-    es = _check_edges(g, es)
-    nodes = frozenset(v for e in es for v in g.undirected_endpoints(e))
-    return _build(g, nodes, es)
+    return induce_by_nodes_and_edges(g, (), es)
 
 
 def induce_by_nodes_and_edges(
@@ -233,13 +237,7 @@ def induce_by_nodes_and_edges(
     """Union technique: nodes = vs + endpoints(es), edges = es + internal(vs)."""
     vs = _check_nodes(g, vs)
     es = _check_edges(g, es)
-    nodes = vs | frozenset(v for e in es for v in g.undirected_endpoints(e))
-    edges = es | frozenset(
-        i
-        for i in range(g.num_undirected_edges)
-        if set(g.undirected_endpoints(i)) <= vs
-    )
-    return _build(g, nodes, edges)
+    return _build(g, vs | _endpoints(g, es), es | _internal_edges(g, vs))
 
 
 def connected_components(g: Graph) -> tuple[Component, ...]:
@@ -308,12 +306,7 @@ def enumerate_connected_edge_subgraphs(
 def _node_reachable(g: Graph, edge_subset: tuple[int, ...]) -> bool:
     """True when the node technique can produce edge_subset as a component:
     the subset must contain every parent edge among its endpoints."""
-    nodes = {v for e in edge_subset for v in g.undirected_endpoints(e)}
-    chosen = set(edge_subset)
-    for i in range(g.num_undirected_edges):
-        if i not in chosen and set(g.undirected_endpoints(i)) <= nodes:
-            return False
-    return True
+    return _internal_edges(g, _endpoints(g, edge_subset)) == set(edge_subset)
 
 
 def exhaustiveness(technique: str, g: Graph, cap: int = 16) -> float:

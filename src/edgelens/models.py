@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,8 +24,14 @@ from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask
 MODEL_SCHEMA_VERSION = 1
 
 
+# Each layer and classifier type declares its parameter arrays once, in
+# `arrays`: (weight, bias) pairs in the order they apply. Validation,
+# parameter_arrays, the model file and the trainer all read these names.
+
+
 @dataclass(frozen=True)
 class GCNLayer:
+    arrays: ClassVar[tuple[str, ...]] = ("weight", "bias")
     weight: np.ndarray  # (d_in, d_out)
     bias: np.ndarray  # (d_out,)
 
@@ -32,6 +39,7 @@ class GCNLayer:
 @dataclass(frozen=True)
 class GINLayer:
     # 2-layer MLP applied to (1 + eps) * h_v + sum_u w_uv h_u
+    arrays: ClassVar[tuple[str, ...]] = ("w1", "b1", "w2", "b2")
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -41,10 +49,20 @@ class GINLayer:
 
 @dataclass(frozen=True)
 class Classifier:
+    arrays: ClassVar[tuple[str, ...]] = ("w1", "b1", "w2", "b2")
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+
+_LAYER_TYPES = {"gcn": GCNLayer, "gin": GINLayer}
+
+
+def _pairs(part) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (weight, bias) array pairs of a layer or classifier, in order."""
+    arrays = [getattr(part, name) for name in part.arrays]
+    return list(zip(arrays[::2], arrays[1::2]))
 
 
 @dataclass(frozen=True)
@@ -56,34 +74,27 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
-        if self.conv_kind not in ("gcn", "gin"):
+        layer_type = _LAYER_TYPES.get(self.conv_kind)
+        if layer_type is None:
             raise ModelFormatError(f"unknown conv kind {self.conv_kind!r}")
         if self.pooling not in ("mean", "sum"):
             raise ModelFormatError(f"unknown pooling {self.pooling!r}")
         if self.num_classes < 1:
             raise ModelFormatError(f"num_classes {self.num_classes} < 1")
-        dim = self.input_dim
+        if not self.layers:
+            raise ModelFormatError("model has no layers")
         for i, layer in enumerate(self.layers):
-            if self.conv_kind == "gcn":
-                if not isinstance(layer, GCNLayer):
-                    raise ModelFormatError(f"layer {i} is not a GCN layer")
-                shapes = [(layer.weight, layer.bias)]
-            else:
-                if not isinstance(layer, GINLayer):
-                    raise ModelFormatError(f"layer {i} is not a GIN layer")
-                shapes = [(layer.w1, layer.b1), (layer.w2, layer.b2)]
-            for w, b in shapes:
+            if not isinstance(layer, layer_type):
+                raise ModelFormatError(f"layer {i} is not a {layer_type.__name__}")
+        dim = self.input_dim
+        for prefix, part in self._parts():
+            for w, b in _pairs(part):
                 if w.shape[0] != dim or b.shape != (w.shape[1],):
                     raise ModelFormatError(
-                        f"layer {i}: expected input dim {dim}, got {w.shape}/{b.shape}"
+                        f"{prefix}: expected input dim {dim}, got {w.shape}/{b.shape}"
                     )
                 dim = w.shape[1]
-        cls = self.classifier
-        if cls.w1.shape[0] != dim or cls.b1.shape != (cls.w1.shape[1],):
-            raise ModelFormatError("classifier first layer dimension mismatch")
-        if cls.w2.shape != (cls.w1.shape[1], self.num_classes) or cls.b2.shape != (
-            self.num_classes,
-        ):
+        if dim != self.num_classes:
             raise ModelFormatError("classifier output dimension mismatch")
         for arr in self.parameter_arrays().values():
             if not np.all(np.isfinite(arr)):
@@ -91,26 +102,22 @@ class ModelSpec:
 
     @property
     def input_dim(self) -> int:
-        layer = self.layers[0]
-        return layer.weight.shape[0] if self.conv_kind == "gcn" else layer.w1.shape[0]
+        first_weight, _ = _pairs(self.layers[0])[0]
+        return first_weight.shape[0]
+
+    def _parts(self) -> list[tuple[str, object]]:
+        """Each layer and then the classifier, with the prefix its array
+        names carry in parameter_arrays."""
+        layers = [(f"layer{i}", layer) for i, layer in enumerate(self.layers)]
+        return layers + [("classifier", self.classifier)]
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         """Named view of every parameter array, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            if self.conv_kind == "gcn":
-                out[f"layer{i}.weight"] = layer.weight
-                out[f"layer{i}.bias"] = layer.bias
-            else:
-                out[f"layer{i}.w1"] = layer.w1
-                out[f"layer{i}.b1"] = layer.b1
-                out[f"layer{i}.w2"] = layer.w2
-                out[f"layer{i}.b2"] = layer.b2
-        out["classifier.w1"] = self.classifier.w1
-        out["classifier.b1"] = self.classifier.b1
-        out["classifier.w2"] = self.classifier.w2
-        out["classifier.b2"] = self.classifier.b2
-        return out
+        return {
+            f"{prefix}.{name}": getattr(part, name)
+            for prefix, part in self._parts()
+            for name in part.arrays
+        }
 
 
 @dataclass(frozen=True)
@@ -260,19 +267,31 @@ def gcn_normalize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def csr_pattern(g: Graph, self_loops: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and source edge of each stored entry of g's CSR
-    operator: both directions of every edge, plus the diagonal with
-    `self_loops`, sorted by row and then by column. A self loop's source is
-    g.num_undirected_edges."""
-    num_edges = g.num_undirected_edges
-    loops = np.arange(g.n if self_loops else 0)
+def csr_pattern(
+    edge_u: np.ndarray, edge_v: np.ndarray, n: int, self_loops: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and source edge of each stored entry of the (n, n) CSR
+    operator of the undirected edges (edge_u, edge_v): both directions of
+    every edge, plus the diagonal with `self_loops`, sorted by row and then
+    by column. A self loop's source is len(edge_u)."""
+    num_edges = len(edge_u)
+    loops = np.arange(n if self_loops else 0)
     edges = np.arange(num_edges)
-    rows = np.concatenate((g.edge_u, g.edge_v, loops))
-    cols = np.concatenate((g.edge_v, g.edge_u, loops))
+    rows = np.concatenate((edge_u, edge_v, loops))
+    cols = np.concatenate((edge_v, edge_u, loops))
     source = np.concatenate((edges, edges, np.full(len(loops), num_edges)))
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], source[order]
+
+
+def csr_operator(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """The (n, n) csr_matrix holding `values` at the csr_pattern entries
+    (`rows`, `cols`)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
 
 
 def csr_values(
@@ -364,11 +383,9 @@ def _csr_forward_rows(m, g, weights, nodes, counter) -> list[Prediction]:
     0, and forward_dense pools the kept nodes only, so each row is bitwise
     the CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
-    pattern = csr_pattern(g, self_loops=gcn)
+    pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=gcn)
     rows, cols, _ = pattern
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
-    op = sp.csr_matrix((np.zeros(len(cols)), cols, indptr), shape=(g.n, g.n))
+    op = csr_operator(rows, cols, np.zeros(len(cols)), g.n)
     step = max(1, STACK_BYTES // (8 * max(1, len(cols))))
     out = []
     for lo in range(0, len(weights), step):
@@ -429,19 +446,8 @@ def forward_on_induced(
     return forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes, counter)[0]
 
 
-def _arr_to_list(a: np.ndarray) -> list:
-    return a.tolist()
-
-
-def _layer_to_obj(m: ModelSpec, layer) -> dict:
-    if m.conv_kind == "gcn":
-        return {"weight": _arr_to_list(layer.weight), "bias": _arr_to_list(layer.bias)}
-    return {
-        "w1": _arr_to_list(layer.w1),
-        "b1": _arr_to_list(layer.b1),
-        "w2": _arr_to_list(layer.w2),
-        "b2": _arr_to_list(layer.b2),
-    }
+def _part_to_obj(part) -> dict:
+    return {name: getattr(part, name).tolist() for name in part.arrays}
 
 
 def model_to_json(m: ModelSpec) -> str:
@@ -450,13 +456,8 @@ def model_to_json(m: ModelSpec) -> str:
         "conv_kind": m.conv_kind,
         "pooling": m.pooling,
         "num_classes": m.num_classes,
-        "layers": [_layer_to_obj(m, layer) for layer in m.layers],
-        "classifier": {
-            "w1": _arr_to_list(m.classifier.w1),
-            "b1": _arr_to_list(m.classifier.b1),
-            "w2": _arr_to_list(m.classifier.w2),
-            "b2": _arr_to_list(m.classifier.b2),
-        },
+        "layers": [_part_to_obj(layer) for layer in m.layers],
+        "classifier": _part_to_obj(m.classifier),
     }
     if m.conv_kind == "gin":
         obj["epsilons"] = [layer.epsilon for layer in m.layers]
@@ -482,27 +483,28 @@ def model_from_json(text: str) -> ModelSpec:
         if key not in obj:
             raise ModelFormatError(f"model file missing field {key!r}")
     kind = obj["conv_kind"]
-    if kind not in ("gcn", "gin"):
+    layer_type = _LAYER_TYPES.get(kind)
+    if layer_type is None:
         raise ModelFormatError(f"unknown conv kind {kind!r}")
-    names = ("weight", "bias") if kind == "gcn" else ("w1", "b1", "w2", "b2")
     if not isinstance(obj["layers"], list) or not obj["layers"]:
         raise ModelFormatError("model field 'layers' is not a non-empty list")
-    layers = [_arrays(lo, names, f"layer {i}") for i, lo in enumerate(obj["layers"])]
-    if kind == "gcn":
-        layers = [GCNLayer(**arrays) for arrays in layers]
-    else:
+    layers = [
+        _arrays(lo, layer_type.arrays, f"layer {i}") for i, lo in enumerate(obj["layers"])
+    ]
+    if kind == "gin":
         eps = obj.get("epsilons", [0.0] * len(layers))
         if not isinstance(eps, list) or len(eps) != len(layers):
             raise ModelFormatError("epsilons is not a list matching the layer count")
         if any(type(e) not in (int, float) for e in eps):
             raise ModelFormatError(f"epsilons {eps!r} are not all JSON numbers")
-        layers = [GINLayer(**arrays, epsilon=float(e)) for arrays, e in zip(layers, eps)]
-    cls = _arrays(obj["classifier"], ("w1", "b1", "w2", "b2"), "classifier")
+        for arrays, e in zip(layers, eps):
+            arrays["epsilon"] = float(e)
+    cls = _arrays(obj["classifier"], Classifier.arrays, "classifier")
     if type(obj["num_classes"]) is not int:
         raise ModelFormatError(f"num_classes {obj['num_classes']!r} is not a JSON integer")
     return ModelSpec(
         conv_kind=kind,
-        layers=tuple(layers),
+        layers=tuple(layer_type(**arrays) for arrays in layers),
         classifier=Classifier(**cls),
         pooling=obj["pooling"],
         num_classes=obj["num_classes"],
@@ -510,8 +512,8 @@ def model_from_json(text: str) -> ModelSpec:
 
 
 def _arrays(obj, names: tuple[str, ...], where: str) -> dict[str, np.ndarray]:
-    """The float64 arrays `names` of one model part: matrices for the
-    weights (w...), vectors for the biases (b...). A part that is not an
+    """The float64 arrays `names`, (weight, bias) pairs, of one model part:
+    a matrix for each weight, a vector for each bias. A part that is not an
     object, lacks one of them or holds anything else raises
     ModelFormatError."""
     if not isinstance(obj, dict):
@@ -520,12 +522,12 @@ def _arrays(obj, names: tuple[str, ...], where: str) -> dict[str, np.ndarray]:
     if missing:
         raise ModelFormatError(f"{where} missing arrays {missing}")
     out = {}
-    for name in names:
+    for i, name in enumerate(names):
         try:
             arr = np.asarray(obj[name], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ModelFormatError(f"{where} {name}: {exc}") from exc
-        if arr.ndim != (2 if name.startswith("w") else 1):
+        if arr.ndim != (1 if i % 2 else 2):
             raise ModelFormatError(f"{where} {name} has shape {arr.shape}")
         out[name] = arr
     return out

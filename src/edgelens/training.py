@@ -8,13 +8,21 @@ the normalized-adjacency message passing. Deterministic given the seed
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataFormatError, NumericalFailureError
-from .models import Classifier, GCNLayer, ModelSpec, forward, inverse_sqrt_degree
+from .models import (
+    Classifier,
+    GCNLayer,
+    ModelSpec,
+    csr_operator,
+    csr_pattern,
+    forward,
+    inverse_sqrt_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -81,19 +89,18 @@ def init_gcn(
     if hidden_dim < 1:
         raise ValueError("hidden_dim must be >= 1")
     rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.uniform(-init_scale, init_scale, size=shape)
+
+    # Every array drawn in parameter_arrays() order.
     dims = [input_dim] + [hidden_dim] * num_layers
-    layers = tuple(
-        GCNLayer(
-            weight=rng.uniform(-init_scale, init_scale, size=(dims[i], dims[i + 1])),
-            bias=rng.uniform(-init_scale, init_scale, size=dims[i + 1]),
-        )
-        for i in range(num_layers)
-    )
+    layers = tuple(GCNLayer(draw(a, b), draw(b)) for a, b in zip(dims, dims[1:]))
     classifier = Classifier(
-        w1=rng.uniform(-init_scale, init_scale, size=(hidden_dim, hidden_dim)),
-        b1=rng.uniform(-init_scale, init_scale, size=hidden_dim),
-        w2=rng.uniform(-init_scale, init_scale, size=(hidden_dim, num_classes)),
-        b2=rng.uniform(-init_scale, init_scale, size=num_classes),
+        draw(hidden_dim, hidden_dim),
+        draw(hidden_dim),
+        draw(hidden_dim, num_classes),
+        draw(num_classes),
     )
     return ModelSpec(
         conv_kind="gcn",
@@ -136,23 +143,14 @@ def analytic_gradients(
 
 
 def _model_with_params(m: ModelSpec, params: dict[str, np.ndarray]) -> ModelSpec:
-    layers = tuple(
-        GCNLayer(weight=params[f"layer{i}.weight"], bias=params[f"layer{i}.bias"])
-        for i in range(len(m.layers))
-    )
-    classifier = Classifier(
-        w1=params["classifier.w1"],
-        b1=params["classifier.b1"],
-        w2=params["classifier.w2"],
-        b2=params["classifier.b2"],
-    )
-    return ModelSpec(
-        conv_kind="gcn",
-        layers=layers,
-        classifier=classifier,
-        pooling=m.pooling,
-        num_classes=m.num_classes,
-    )
+    """m with each parameter array taken from `params`, keyed and ordered as
+    m.parameter_arrays() keys and orders them."""
+    arrays = iter([params[name] for name in m.parameter_arrays()])
+    parts = [
+        replace(part, **{name: next(arrays) for name in part.arrays})
+        for part in (*m.layers, m.classifier)
+    ]
+    return replace(m, layers=tuple(parts[:-1]), classifier=parts[-1])
 
 
 @dataclass(frozen=True)
@@ -243,18 +241,12 @@ class _Batch:
             a_hat[block, v[kept], u[kept]] = w[kept]
             d_inv_sqrt[offsets[members, None] + np.arange(n)] = inverse_sqrt_degree(a_hat)
 
-        nodes = np.arange(n_total)
         shift = offsets[edge_graph]
-        rows = np.concatenate((u + shift, v + shift, nodes))
-        cols = np.concatenate((v + shift, u + shift, nodes))
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
+        rows, cols, source = csr_pattern(u + shift, v + shift, n_total, self_loops=True)
         # (d_row * a) * d_col, the order the dense normalization scales in
-        values = d_inv_sqrt[rows] * np.concatenate((w, w, np.ones(n_total)))[order]
+        values = d_inv_sqrt[rows] * np.append(w, 1.0)[source]
         values *= d_inv_sqrt[cols]
-        indptr = np.zeros(n_total + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_total), out=indptr[1:])
-        self.norm = sp.csr_matrix((values, cols, indptr), shape=(n_total, n_total))
+        self.norm = csr_operator(rows, cols, values, n_total)
 
         self.x = np.vstack([g.features for g in graphs])
         self.labels = np.array([rec.label for rec in dataset])
@@ -263,7 +255,7 @@ class _Batch:
         else:
             weights = np.ones(n_total)
         self.pool = sp.csr_matrix(
-            (weights, nodes, np.append(offsets, n_total)),
+            (weights, np.arange(n_total), np.append(offsets, n_total)),
             shape=(len(graphs), n_total),
         )
 
@@ -307,22 +299,19 @@ def _batched_loss_and_grads(
     dlogits = probs.copy()
     dlogits[idx, batch.labels] -= 1.0
     dlogits /= g_count
-    grads = {
-        "classifier.w2": a1.T @ dlogits,
-        "classifier.b2": dlogits.sum(axis=0),
-    }
+    # Each (weight, bias) gradient pair goes in front of the later ones, so
+    # `out` ends in parameter_arrays() order.
+    out = [a1.T @ dlogits, dlogits.sum(axis=0)]
     du1 = (dlogits @ cls.w2.T) * (u1 > 0)
-    grads["classifier.w1"] = pooled.T @ du1
-    grads["classifier.b1"] = du1.sum(axis=0)
+    out[:0] = [pooled.T @ du1, du1.sum(axis=0)]
     dh = batch.pool.T @ (du1 @ cls.w1.T)
     for k in range(len(m.layers) - 1, -1, -1):
         dz = dh
         dz *= batch.h[k] > 0  # relu(z) > 0 exactly where z > 0
-        grads[f"layer{k}.weight"] = batch.msgs[k].T @ dz
-        grads[f"layer{k}.bias"] = dz.sum(axis=0)
+        out[:0] = [batch.msgs[k].T @ dz, dz.sum(axis=0)]
         if k > 0:
             dh = batch.norm.T @ np.matmul(dz, m.layers[k].weight.T, out=batch.back[k])
-    return loss, accuracy, grads
+    return loss, accuracy, dict(zip(m.parameter_arrays(), out))
 
 
 def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
@@ -330,6 +319,8 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
 
     arch: {"num_layers", "hidden_dim", "num_classes", "pooling"(optional)}.
     Stops early once train accuracy reaches cfg.target_train_accuracy.
+    A diverging run raises NumericalFailureError with no numpy warning: the
+    epochs run with overflow and invalid operations ignored.
     """
     model = init_gcn(
         input_dim=_check_dataset(dataset, arch["num_classes"]),
@@ -344,19 +335,20 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     trace: list[TraceEntry] = []
     batch = _Batch(dataset, model)
-    for epoch in range(cfg.epochs):
-        current = _model_with_params(model, params)
-        loss, accuracy, grads = _batched_loss_and_grads(current, batch)
-        if not np.isfinite(loss):
-            raise NumericalFailureError(
-                "training diverged (non-finite loss); try a smaller learning rate"
-            )
-        trace.append(TraceEntry(epoch=epoch, loss=loss, accuracy=accuracy))
-        if accuracy >= cfg.target_train_accuracy:
-            break
-        for name in params:
-            velocity[name] = (
-                cfg.momentum * velocity[name] - cfg.learning_rate * grads[name]
-            )
-            params[name] = params[name] + velocity[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            current = _model_with_params(model, params)
+            loss, accuracy, grads = _batched_loss_and_grads(current, batch)
+            if not np.isfinite(loss):
+                raise NumericalFailureError(
+                    "training diverged (non-finite loss); try a smaller learning rate"
+                )
+            trace.append(TraceEntry(epoch=epoch, loss=loss, accuracy=accuracy))
+            if accuracy >= cfg.target_train_accuracy:
+                break
+            for name in params:
+                velocity[name] = (
+                    cfg.momentum * velocity[name] - cfg.learning_rate * grads[name]
+                )
+                params[name] = params[name] + velocity[name]
     return TrainResult(model=_model_with_params(model, params), trace=tuple(trace))

@@ -385,6 +385,29 @@ class TestTrainCommand:
         assert option in result.output or "must be" in result.output
         assert not out.exists()
 
+    def test_divergence_is_numerical_failure(self, tmp_path):
+        """Exit code 4, and the error line is all of stderr: no numpy
+        warning from the diverging epochs reaches the user."""
+        dataset = tmp_path / "corpus.jsonl"
+        save_dataset(gen_ba2motifs_mini(4, base_nodes=5, seed=80), dataset)
+        src = Path(edgelens.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [
+                sys.executable, "-c", "from edgelens.cli import main; main()",
+                "train",
+                "--dataset", str(dataset),
+                "--lr", "1e300",
+                "--out", str(tmp_path / "m.json"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 4, result.stderr
+        assert result.stderr == (
+            "error: training diverged (non-finite loss); try a smaller learning rate\n"
+        )
+
     @pytest.mark.parametrize("problem", ["label", "feature-dims", "no-nodes"])
     def test_dataset_problem_is_data_error(self, runner, tmp_path, problem):
         g = Graph.undirected(np.ones((3, 2)), [(0, 1), (1, 2)])

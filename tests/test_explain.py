@@ -223,6 +223,7 @@ class TestExplain:
         e = linear_search(small_model, path3, rank_edges(s), 0, scores=s.values)
         assert e.ranked_edges == (1, 0)
         assert e.scores is s.values
+        assert e.method is None
         assert e.forward_passes_used == 1 + 2 * path3.num_undirected_edges
 
     @pytest.mark.parametrize("target", [2, 5, -1])

@@ -288,6 +288,11 @@ class TestModelIO:
         expected, _ = manual_path3_probs()
         np.testing.assert_allclose(pred.probabilities, expected, atol=1e-12)
 
+    def test_json_text_round_trips(self):
+        for m in (init_gcn(3, 2, 4, 2, seed=3), gin_model(5, 3, hidden=4, num_layers=2)):
+            text = model_to_json(m)
+            assert model_to_json(model_from_json(text)) == text
+
     def test_bad_version_rejected(self):
         with pytest.raises(ModelFormatError):
             model_from_json('{"version":99}')
@@ -351,6 +356,17 @@ class TestModelIO:
                 pooling="mean",
                 num_classes=2,
             )
+
+    @pytest.mark.parametrize(
+        "kind, layers_of, match",
+        [("gcn", "gin", "layer 0"), ("gin", "gcn", "layer 0"), ("gcn", None, "no layers")],
+        ids=["gcn-spec-gin-layer", "gin-spec-gcn-layer", "no-layers"],
+    )
+    def test_malformed_layers_rejected(self, kind, layers_of, match):
+        models = {"gcn": init_gcn(3, 1, 3, 2, seed=4), "gin": gin_model(4, 3, 3, 1)}
+        layers = models[layers_of].layers if layers_of else ()
+        with pytest.raises(ModelFormatError, match=match):
+            ModelSpec(kind, layers, models[kind].classifier, "mean", 2)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ModelFormatError):

@@ -4,16 +4,19 @@ import pytest
 from edgelens import (
     DataFormatError,
     Graph,
+    NumericalFailureError,
     TrainConfig,
     analytic_gradients,
     finite_difference_check,
+    gen_ba2motifs_mini,
     init_gcn,
     train_gcn,
 )
 from edgelens.data import DatasetRecord
 from edgelens.models import forward
+from edgelens.training import _model_with_params
 
-from conftest import random_graph
+from conftest import gin_model, random_graph
 
 
 def tiny_dataset(seed=40, k=6, feature_dim=3):
@@ -33,6 +36,19 @@ def tiny_dataset(seed=40, k=6, feature_dim=3):
 
 
 ARCH = {"num_layers": 2, "hidden_dim": 8, "num_classes": 2}
+
+
+class TestModelWithParams:
+    def test_rebuilds_a_gin_model(self):
+        m = gin_model(8, 3, hidden=4, num_layers=2)
+        back = _model_with_params(m, m.parameter_arrays())
+        assert back.conv_kind == "gin"
+        assert [layer.epsilon for layer in back.layers] == [0.25, 0.25]
+        for (n1, a1), (n2, a2) in zip(
+            m.parameter_arrays().items(), back.parameter_arrays().items()
+        ):
+            assert n1 == n2
+            assert np.array_equal(a1, a2)
 
 
 class TestConfig:
@@ -69,8 +85,6 @@ class TestGradients:
         params = {k: v.copy() for k, v in m.parameter_arrays().items()}
         for k in params:
             params[k] -= 1e-3 * grads[k]
-        from edgelens.training import _model_with_params
-
         loss1, _, _ = analytic_gradients(_model_with_params(m, params), ds)
         assert loss1 < loss0
 
@@ -145,6 +159,12 @@ class TestTrainGCN:
             assert np.array_equal(x, y)
         losses = [t.loss for t in result.trace]
         assert losses == [losses[0]] * len(losses)
+
+    def test_divergence_is_numerical_failure(self):
+        ds = gen_ba2motifs_mini(4, base_nodes=5, seed=80)
+        cfg = TrainConfig(epochs=5, learning_rate=1e300)
+        with pytest.raises(NumericalFailureError, match="diverged"):
+            train_gcn(ds, ARCH, cfg)
 
     def test_bitwise_deterministic(self):
         ds = tiny_dataset(seed=45, k=4)
