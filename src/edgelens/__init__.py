@@ -50,7 +50,6 @@ from .explain import (
 from .graphs import (
     Graph,
     InducedSubgraph,
-    connected_components,
     enumerate_connected_edge_subgraphs,
     exhaustiveness,
     induce_by_edges,

@@ -240,13 +240,6 @@ def induce_by_nodes_and_edges(
     return _build(g, vs | _endpoints(g, es), es | _internal_edges(g, vs))
 
 
-def connected_components(g: Graph) -> tuple[Component, ...]:
-    """Components of the whole graph, deterministic ordering."""
-    return _components_of(
-        g, frozenset(range(g.n)), frozenset(range(g.num_undirected_edges))
-    )
-
-
 def intuitiveness(s: InducedSubgraph) -> float:
     """Fraction of components that carry at least one edge."""
     if not s.components:

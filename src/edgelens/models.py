@@ -137,17 +137,6 @@ class ForwardCounter:
         self.count += 1
 
 
-def inverse_sqrt_degree(a_hat: np.ndarray) -> np.ndarray:
-    """D^-1/2 of the GCN normalization, from dense (..., n, n) adjacencies
-    that already carry their self loops.
-
-    Summing each dense row fixes numpy's pairwise summation order. The
-    trainer takes its degrees from here too, so its sparse normalization
-    matches gcn_normalize bit for bit on weighted graphs.
-    """
-    return 1.0 / np.sqrt(a_hat.sum(axis=-1))
-
-
 def csr_matmul(operator: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
     """operator @ h for a float64 (n, d) h, bit for bit: the same call of
     scipy's kernel csr_matvecs that csr_matrix.__matmul__ ends in, without
@@ -258,10 +247,16 @@ def weighted_adjacency(g: Graph, weights: np.ndarray, nodes: np.ndarray) -> np.n
 def gcn_normalize(a: np.ndarray) -> np.ndarray:
     """D^-1/2 (A + I) D^-1/2 of a (..., s, s) adjacency stack, in place; the
     same operations in the same order as d[..., :, None] * (A + I) *
-    d[..., None, :], so bitwise equal to it."""
+    d[..., None, :], so bitwise equal to it.
+
+    A GCN degree is its node's row of A + I added one entry at a time in
+    column order, as csr_values adds it. numpy reduces a non-last axis one
+    row after another, so the column sums of the symmetric A + I are
+    exactly those row sums; the last-axis sum would add pairwise.
+    """
     s = a.shape[-1]
     a[..., np.arange(s), np.arange(s)] += 1.0
-    d_inv_sqrt = inverse_sqrt_degree(a)
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=-2))
     a *= d_inv_sqrt[..., :, None]
     a *= d_inv_sqrt[..., None, :]
     return a
@@ -307,9 +302,9 @@ def csr_values(
     An edge entry carries weights[i, e] when both endpoints are kept in row
     i and 0 otherwise; a self loop carries 1. For a GCN each value is then
     scaled to (w * d_i) * d_j, as gcn_normalize scales, with d_i the
-    inverse square root of row i's entries summed one by one in column
-    order: a stored 0 leaves such a sum unchanged, so each kept node gets
-    the degree of its standalone graph.
+    inverse square root of node i's entries summed one by one in column
+    order, the degree gcn_normalize takes: a stored 0 leaves such a sum
+    unchanged, so each kept node gets the degree of its standalone graph.
     """
     rows, cols, source = pattern
     b, n, num_edges = len(nodes), g.n, g.num_undirected_edges

@@ -14,14 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataFormatError, NumericalFailureError
+from .graphs import Graph
 from .models import (
     Classifier,
     GCNLayer,
     ModelSpec,
     csr_operator,
     csr_pattern,
+    csr_values,
     forward,
-    inverse_sqrt_degree,
 )
 
 
@@ -207,12 +208,14 @@ class _Batch:
     """All graphs stacked into one block-diagonal system, so an epoch is a
     handful of sparse matmuls instead of a Python loop over the dataset.
 
-    `norm` holds only the nonzeros of each graph's D^-1/2 (A + I) D^-1/2,
-    columns sorted within each row: the values and summation order of the
-    dense blocks without their zeros. The batch also owns the per-node
-    arrays an epoch writes, shaped for the layers of `m`, and keeps them
-    between epochs: freed at the end of an epoch, their pages go back to
-    the kernel and the next epoch faults them in again.
+    `norm` is the CSR operator of the dataset's graphs as the disjoint
+    blocks of one graph, its values from models.csr_values: a degree sums
+    its node's row only, so each block is its graph's D^-1/2 (A + I) D^-1/2
+    as the explainer normalizes it, without the zeros of a dense block. The
+    batch also owns the per-node arrays an epoch writes, shaped for the
+    layers of `m`, and keeps them between epochs: freed at the end of an
+    epoch, their pages go back to the kernel and the next epoch faults them
+    in again.
     """
 
     def __init__(self, dataset, m: ModelSpec):
@@ -220,35 +223,19 @@ class _Batch:
         sizes = np.array([g.n for g in graphs])
         offsets = np.cumsum(sizes) - sizes
         n_total = int(sizes.sum())
-        edge_graph = np.repeat(
-            np.arange(len(graphs)), [g.num_undirected_edges for g in graphs]
+        shift = np.repeat(offsets, [g.num_undirected_edges for g in graphs])
+        whole = Graph(
+            np.vstack([g.features for g in graphs]),
+            np.concatenate([g.edge_u for g in graphs]) + shift,
+            np.concatenate([g.edge_v for g in graphs]) + shift,
+            np.concatenate([g.edge_weight for g in graphs]),
         )
-        u = np.concatenate([g.edge_u for g in graphs])
-        v = np.concatenate([g.edge_v for g in graphs])
-        w = np.concatenate([g.edge_weight for g in graphs])
+        pattern = csr_pattern(whole.edge_u, whole.edge_v, n_total, self_loops=True)
+        everything = np.ones((1, n_total), dtype=bool)
+        values = csr_values(whole, pattern, whole.edge_weight[None], everything, gcn=True)
+        self.norm = csr_operator(pattern[0], pattern[1], values[0], n_total)
 
-        # Degrees as models.gcn_normalize takes them, from the dense self-looped
-        # blocks, stacked by graph size: a degree summed any other way
-        # differs in the last bit on weighted graphs.
-        d_inv_sqrt = np.empty(n_total)
-        for n in np.unique(sizes):
-            members = np.flatnonzero(sizes == n)
-            kept = sizes[edge_graph] == n
-            block = np.searchsorted(members, edge_graph[kept])
-            a_hat = np.zeros((len(members), n, n))
-            a_hat[:, np.arange(n), np.arange(n)] = 1.0
-            a_hat[block, u[kept], v[kept]] = w[kept]
-            a_hat[block, v[kept], u[kept]] = w[kept]
-            d_inv_sqrt[offsets[members, None] + np.arange(n)] = inverse_sqrt_degree(a_hat)
-
-        shift = offsets[edge_graph]
-        rows, cols, source = csr_pattern(u + shift, v + shift, n_total, self_loops=True)
-        # (d_row * a) * d_col, the order the dense normalization scales in
-        values = d_inv_sqrt[rows] * np.append(w, 1.0)[source]
-        values *= d_inv_sqrt[cols]
-        self.norm = csr_operator(rows, cols, values, n_total)
-
-        self.x = np.vstack([g.features for g in graphs])
+        self.x = whole.features
         self.labels = np.array([rec.label for rec in dataset])
         if m.pooling == "mean":
             weights = np.repeat(1.0 / sizes, sizes)
@@ -331,14 +318,14 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
         seed=cfg.seed,
         init_scale=cfg.init_scale,
     )
-    params = {name: arr.copy() for name, arr in model.parameter_arrays().items()}
+    # Each step updates the model's own arrays in place.
+    params = model.parameter_arrays()
     velocity = {name: np.zeros_like(arr) for name, arr in params.items()}
     trace: list[TraceEntry] = []
     batch = _Batch(dataset, model)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            current = _model_with_params(model, params)
-            loss, accuracy, grads = _batched_loss_and_grads(current, batch)
+            loss, accuracy, grads = _batched_loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise NumericalFailureError(
                     "training diverged (non-finite loss); try a smaller learning rate"
@@ -346,9 +333,10 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
             trace.append(TraceEntry(epoch=epoch, loss=loss, accuracy=accuracy))
             if accuracy >= cfg.target_train_accuracy:
                 break
-            for name in params:
+            for name, arr in params.items():
                 velocity[name] = (
                     cfg.momentum * velocity[name] - cfg.learning_rate * grads[name]
                 )
-                params[name] = params[name] + velocity[name]
-    return TrainResult(model=_model_with_params(model, params), trace=tuple(trace))
+                arr += velocity[name]
+    # replace() builds a new ModelSpec, which validates the final parameters.
+    return TrainResult(model=replace(model), trace=tuple(trace))

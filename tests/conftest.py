@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from edgelens import Graph, init_gcn
-from edgelens.models import Classifier, GINLayer, ModelSpec
+from edgelens.data import DatasetRecord
+from edgelens.models import (
+    Classifier,
+    GINLayer,
+    ModelSpec,
+    csr_operator,
+    csr_pattern,
+    csr_values,
+    gcn_normalize,
+    weighted_adjacency,
+)
+from edgelens.training import _Batch
 
 
 @pytest.fixture
@@ -90,3 +101,23 @@ def random_model(rng, feature_dim=3, num_layers=2, hidden_dim=4, num_classes=2):
         num_classes=num_classes,
         seed=int(rng.integers(0, 2**31)),
     )
+
+
+def assert_one_gcn_normalization(graphs):
+    """Each graph's D^-1/2 (A + I) D^-1/2 is bitwise the same three ways:
+    the dense stack of one all-nodes row, the CSR operator of csr_values,
+    and the graph's block of the trainer's batch over all `graphs`."""
+    records = [DatasetRecord(g, 0, (0,) * g.num_undirected_edges, 0) for g in graphs]
+    batch = _Batch(records, init_gcn(graphs[0].d, 1, 1, 1)).norm.toarray()
+    offset = 0
+    for g in graphs:
+        everything = np.ones((1, g.n), dtype=bool)
+        weights = g.edge_weight[None]
+        dense = gcn_normalize(weighted_adjacency(g, weights, everything))[0]
+        pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=True)
+        values = csr_values(g, pattern, weights, everything, gcn=True)[0]
+        csr = csr_operator(pattern[0], pattern[1], values, g.n).toarray()
+        block = batch[offset : offset + g.n, offset : offset + g.n]
+        np.testing.assert_array_equal(dense, csr)
+        np.testing.assert_array_equal(block, csr)
+        offset += g.n

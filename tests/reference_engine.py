@@ -3,14 +3,15 @@
 It is the engine as it stood before the edge-array rewrite: the adjacency is
 filled one undirected edge at a time, a fidelity pass first builds the
 edge-induced subgraph with `induce_by_edges` and then fills the subgraph's
-adjacency edge by edge, and the GCN normalization is the plain expression
-d[:, None] * (A + I) * d[None, :]. The library's dense path must match it
-bitwise.
+adjacency edge by edge, and the GCN normalization is d[:, None] * (A + I) *
+d[None, :], with each degree its row of A + I added one entry at a time in
+column order (`normalized_adjacency`). The library's dense path must match
+it bitwise.
 
 `loop_csr_probabilities` is the reference of the library's CSR path: the
-same graphs, but every row sum runs one stored entry at a time in ascending
-column order. The `probabilities` argument of the helpers below picks the
-reference.
+same graphs and the same degrees, but every product row also runs one stored
+entry at a time in ascending column order. The `probabilities` argument of
+the helpers below picks the reference.
 """
 
 from __future__ import annotations
@@ -37,32 +38,30 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
+def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
+    """D^-1/2 (A + I) D^-1/2, each degree its row of A + I added one entry
+    at a time in column order: the last running sum of np.add.accumulate,
+    which adds strictly in sequence."""
+    a_hat = adjacency + np.eye(adjacency.shape[0])
+    d_inv_sqrt = 1.0 / np.sqrt(np.add.accumulate(a_hat, axis=1)[:, -1])
+    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+
+
 def loop_probabilities(m: ModelSpec, adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
     if m.conv_kind == "gcn":
-        a_hat = adjacency + np.eye(adjacency.shape[0])
-        deg = a_hat.sum(axis=1)
-        d_inv_sqrt = 1.0 / np.sqrt(deg)
-        norm = d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+        norm = normalized_adjacency(adjacency)
         return _probabilities(m, lambda h: norm @ h, features)
     return _probabilities(m, lambda h: adjacency @ h, features)
 
 
 def loop_csr_probabilities(m: ModelSpec, adjacency: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Each row of the operator holds the nonzeros of its adjacency row,
-    columns ascending, plus the self loop for a GCN; a zero is left out, as
-    adding one leaves a sum unchanged. A GCN degree is the sum of its row of
-    A + I and an entry is (a_ij * d_i) * d_j; a product row is the sum of
-    a_ij * h_j. Every sum starts at 0 and adds one entry at a time."""
+    """Each row of the operator holds the nonzeros of its row of the
+    operator loop_probabilities uses, columns ascending; a zero is left out,
+    as adding one leaves a sum unchanged. A product row is the sum of
+    a_ij * h_j, started at 0 and added one entry at a time."""
     n = adjacency.shape[0]
-    a = adjacency + np.eye(n) if m.conv_kind == "gcn" else adjacency
+    a = normalized_adjacency(adjacency) if m.conv_kind == "gcn" else adjacency
     rows = [[(j, a[i, j]) for j in np.flatnonzero(a[i])] for i in range(n)]
-    if m.conv_kind == "gcn":
-        deg = np.zeros(n)
-        for i, row in enumerate(rows):
-            for _, v in row:
-                deg[i] += v
-        d = 1.0 / np.sqrt(deg)
-        rows = [[(j, v * d[i] * d[j]) for j, v in row] for i, row in enumerate(rows)]
 
     def propagate(h):
         out = np.zeros_like(h)

@@ -1,8 +1,8 @@
 """Allocation-per-epoch reference for the trainer, used only by the tests.
 
 It is the trainer as it stood before the nonzero-only block adjacency: each
-graph's normalized adjacency is filled one directed edge at a time and
-normalized with the plain expression d[:, None] * (A + I) * d[None, :], the
+graph's adjacency is filled one edge at a time and normalized as the engine
+reference normalizes it (`reference_engine.normalized_adjacency`), the
 blocks are stacked with `sp.block_diag` (which stores every zero of a dense
 block), and every epoch allocates its own messages, activations and
 backward temporaries. The library must match it bitwise.
@@ -13,24 +13,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from edgelens.graphs import Graph
 from edgelens.models import ModelSpec
 from edgelens.training import TraceEntry, TrainConfig, TrainResult, _model_with_params, init_gcn
 
-
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v, w in zip(g.edge_u, g.edge_v, g.edge_weight):
-        a[u, v] = a[v, u] = w
-    a_hat = a + np.eye(g.n)
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return d_inv_sqrt[:, None] * a_hat * d_inv_sqrt[None, :]
+from reference_engine import loop_adjacency, normalized_adjacency
 
 
 class ReferenceBatch:
     def __init__(self, dataset, pooling: str):
         self.norm = sp.block_diag(
-            [normalized_adjacency(rec.graph) for rec in dataset], format="csr"
+            [normalized_adjacency(loop_adjacency(rec.graph)) for rec in dataset], format="csr"
         )
         self.x = np.vstack([rec.graph.features for rec in dataset])
         self.labels = np.array([rec.label for rec in dataset])

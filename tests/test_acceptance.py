@@ -38,7 +38,7 @@ from edgelens import (
     train_gcn,
 )
 from edgelens.data import DatasetRecord
-from edgelens.graphs import Graph, connected_components
+from edgelens.graphs import Graph
 from edgelens.models import forward
 
 from conftest import path_graph, random_graph, random_model, reweighted
@@ -105,7 +105,7 @@ def _all_connected_labeled_graphs(max_nodes):
         for size in range(n - 1, len(possible) + 1):
             for edges in itertools.combinations(possible, size):
                 g = Graph.undirected(np.ones((n, 1)), list(edges))
-                comps = connected_components(g)
+                comps = induce_by_nodes(g, range(g.n)).components
                 if len(comps) == 1 and len(comps[0].nodes) == n:
                     out.append(g)
     return out

@@ -31,7 +31,7 @@ from edgelens import (
 from edgelens import models
 from edgelens.models import STACK_BYTES, csr_matmul, forward_rows, subgraph_rows
 
-from conftest import gin_model, overflowing, path_graph, reweighted
+from conftest import assert_one_gcn_normalization, gin_model, overflowing, path_graph, reweighted
 from reference_engine import (
     loop_adjacency,
     loop_brute_force,
@@ -121,6 +121,14 @@ def test_ig_matches_reference(kind, base_nodes):
     exact = loop_csr_probabilities if csr else loop_probabilities
     got = ig_edge_scores(m, g, 1, steps=3).values
     np.testing.assert_array_equal(got, loop_ig_scores(m, g, 1, 3, exact))
+
+
+@pytest.mark.parametrize("seed", [21, 23, 31])
+def test_dense_and_csr_paths_share_one_degree_order(seed):
+    """On a weighted 25-node graph a pairwise degree sum would differ from
+    the sequential one in the last bit: the dense stack, the CSR operator
+    and the trainer's batch must normalize alike."""
+    assert_one_gcn_normalization([ba_graph(20, seed, weighted=True)])
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])

@@ -10,7 +10,6 @@ from edgelens import (
     Graph,
     InvalidSelectionError,
     UndefinedMetricError,
-    connected_components,
     enumerate_connected_edge_subgraphs,
     exhaustiveness,
     induce_by_edges,
@@ -180,18 +179,18 @@ class TestSparsity:
 
 class TestConnectedComponents:
     def test_path_single_component(self, path3):
-        assert len(connected_components(path3)) == 1
+        assert len(induce_by_nodes(path3, range(path3.n)).components) == 1
 
     def test_two_disjoint_edges(self):
         g = Graph.undirected(np.ones((4, 1)), [(0, 1), (2, 3)])
-        comps = connected_components(g)
+        comps = induce_by_nodes(g, range(g.n)).components
         assert len(comps) == 2
         assert comps[0].nodes == (0, 1)
         assert comps[1].nodes == (2, 3)
 
     def test_empty_graph(self):
         g = Graph.undirected(np.zeros((0, 1)), [])
-        assert connected_components(g) == ()
+        assert induce_by_nodes(g, range(g.n)).components == ()
 
 
 class TestEnumeration:

@@ -12,6 +12,7 @@ from edgelens import Graph, TrainConfig, gen_ba2motifs_mini, init_gcn, train_gcn
 from edgelens.data import DatasetRecord
 from edgelens.training import _Batch, _batched_loss_and_grads
 
+from conftest import assert_one_gcn_normalization
 from reference_training import (
     ReferenceBatch,
     reference_loss_and_grads,
@@ -92,6 +93,10 @@ def test_block_adjacency_is_the_dense_blocks_without_zeros(corpus, which):
     assert np.array_equal(norm.toarray(), dense)
     if which == "corpus":
         assert (norm.nnz, stored.nnz) == (6200, 20000)
+
+
+def test_batch_normalizes_as_the_engine():
+    assert_one_gcn_normalization([rec.graph for rec in weighted_dataset()])
 
 
 def test_batch_evaluated_twice_matches_reference(corpus):
