@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataFormatError, UndefinedMetricError
 from .graphs import Graph, _graph_from_obj, graph_to_json
@@ -134,17 +133,30 @@ def gen_varsize_motifs(
 
 def edge_mask_auc(scores, gt_mask) -> float:
     """ROC AUC of per-edge scores against a binary mask, rank-based; tied
-    scores contribute half credit per tied pair."""
+    scores contribute half credit per tied pair.
+
+    Each tie group gets the average of the ordinal ranks it spans, so every
+    rank is an exact half-integer and the result is the same to the bit as
+    with scipy's "average" ranking.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    gt = np.asarray(gt_mask, dtype=np.int64)
+    gt = np.asarray(gt_mask)
+    if scores.ndim != 1 or gt.ndim != 1:
+        raise DataFormatError("scores and mask must be 1-D")
     if scores.shape != gt.shape:
-        raise ValueError("scores and mask must have equal length")
-    pos = int(gt.sum())
+        raise DataFormatError("scores and mask must have equal length")
+    if not np.isfinite(scores).all():
+        raise DataFormatError("scores must be finite")
+    positive = gt == 1
+    if not (positive | (gt == 0)).all():
+        raise DataFormatError("mask entries must be 0 or 1")
+    pos = int(positive.sum())
     neg = len(gt) - pos
     if pos == 0 or neg == 0:
         raise UndefinedMetricError("mask must contain a positive and a negative")
-    ranks = rankdata(scores)
-    return float((ranks[gt == 1].sum() - pos * (pos + 1) / 2) / (pos * neg))
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+    return float((ranks[positive].sum() - pos * (pos + 1) / 2) / (pos * neg))
 
 
 def record_to_json(rec: DatasetRecord) -> str:

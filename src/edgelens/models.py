@@ -137,13 +137,26 @@ class ForwardCounter:
         self.count += 1
 
 
-def csr_matmul(operator: sp.csr_matrix, h: np.ndarray) -> np.ndarray:
+def csr_matmul(
+    operator: sp.csr_matrix, h: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """operator @ h for a float64 (n, d) h, bit for bit: the same call of
     scipy's kernel csr_matvecs that csr_matrix.__matmul__ ends in, without
     its dispatch. Each output row starts at 0 and adds a_ij * h_j one stored
-    entry at a time, in stored order."""
+    entry at a time, in stored order. A given `out`, a C-contiguous float64
+    array of the result's shape, is overwritten and returned instead of a
+    new array."""
     n, d = h.shape
-    out = np.zeros((operator.shape[0], d))
+    if out is None:
+        out = np.zeros((operator.shape[0], d))
+    elif (
+        out.shape != (operator.shape[0], d)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous float64 array of the product's shape")
+    else:
+        out.fill(0.0)
     csr_matvecs(
         operator.shape[0], n, d, operator.indptr, operator.indices, operator.data,
         h.ravel(), out.ravel(),

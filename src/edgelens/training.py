@@ -19,6 +19,7 @@ from .models import (
     Classifier,
     GCNLayer,
     ModelSpec,
+    csr_matmul,
     csr_operator,
     csr_pattern,
     csr_values,
@@ -212,10 +213,12 @@ class _Batch:
     blocks of one graph, its values from models.csr_values: a degree sums
     its node's row only, so each block is its graph's D^-1/2 (A + I) D^-1/2
     as the explainer normalizes it, without the zeros of a dense block. The
-    batch also owns the per-node arrays an epoch writes, shaped for the
+    batch also owns every per-node array an epoch writes, shaped for the
     layers of `m`, and keeps them between epochs: freed at the end of an
-    epoch, their pages go back to the kernel and the next epoch faults them
-    in again.
+    epoch, their pages can go back to the kernel and the next epoch faults
+    them in again. Whether they do depends on the allocator's thresholds,
+    which whatever else the process imported has moved, so an epoch
+    allocates no per-node array at all.
     """
 
     def __init__(self, dataset, m: ModelSpec):
@@ -246,12 +249,20 @@ class _Batch:
             shape=(len(graphs), n_total),
         )
 
+        # The backward products by the transposes, stored as CSR: the same
+        # products, term for term and in the same order, as by the CSC
+        # views that .T gives, and they can write into a buffer.
+        self.norm_t = self.norm.T.tocsr()
+        self.pool_t = self.pool.T.tocsr()
+
         # msgs[k] = norm @ h_{k-1}; the layer-0 message does not depend on
-        # the parameters. h[k] is layer k's activation, back[k] the backward
-        # product dz_k @ W_k.T (k >= 1).
+        # the parameters. h[k] is layer k's activation, dh[k] the loss
+        # gradient with respect to it, back[k] the backward product
+        # dz_k @ W_k.T (k >= 1).
         widths = [layer.weight.shape[1] for layer in m.layers]
-        self.msgs = [self.norm @ self.x] + [None] * (len(widths) - 1)
+        self.msgs = [self.norm @ self.x] + [np.empty((n_total, w)) for w in widths[:-1]]
         self.h = [np.empty((n_total, width)) for width in widths]
+        self.dh = [np.empty((n_total, width)) for width in widths]
         self.back = [None] + [np.empty((n_total, width)) for width in widths[:-1]]
 
 
@@ -265,7 +276,7 @@ def _batched_loss_and_grads(
     """
     for k, layer in enumerate(m.layers):
         if k > 0:
-            batch.msgs[k] = batch.norm @ batch.h[k - 1]
+            csr_matmul(batch.norm, batch.h[k - 1], out=batch.msgs[k])
         h = batch.h[k]
         np.matmul(batch.msgs[k], layer.weight, out=h)
         h += layer.bias
@@ -291,13 +302,14 @@ def _batched_loss_and_grads(
     out = [a1.T @ dlogits, dlogits.sum(axis=0)]
     du1 = (dlogits @ cls.w2.T) * (u1 > 0)
     out[:0] = [pooled.T @ du1, du1.sum(axis=0)]
-    dh = batch.pool.T @ (du1 @ cls.w1.T)
+    csr_matmul(batch.pool_t, du1 @ cls.w1.T, out=batch.dh[-1])
     for k in range(len(m.layers) - 1, -1, -1):
-        dz = dh
+        dz = batch.dh[k]
         dz *= batch.h[k] > 0  # relu(z) > 0 exactly where z > 0
         out[:0] = [batch.msgs[k].T @ dz, dz.sum(axis=0)]
         if k > 0:
-            dh = batch.norm.T @ np.matmul(dz, m.layers[k].weight.T, out=batch.back[k])
+            np.matmul(dz, m.layers[k].weight.T, out=batch.back[k])
+            csr_matmul(batch.norm_t, batch.back[k], out=batch.dh[k - 1])
     return loss, accuracy, dict(zip(m.parameter_arrays(), out))
 
 

@@ -152,6 +152,45 @@ class TestEdgeMaskAuc:
         with pytest.raises(ValueError):
             edge_mask_auc([0.1], [1, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DataFormatError, match="finite"):
+            edge_mask_auc([0.1, bad, 0.3], [1, 0, 1])
+
+    @pytest.mark.parametrize("mask", [[2, 0, 1], [1, -1, 0], [1, 0.5, 0]])
+    def test_mask_outside_zero_one_rejected(self, mask):
+        with pytest.raises(DataFormatError, match="0 or 1"):
+            edge_mask_auc([0.1, 0.2, 0.3], mask)
+
+    @pytest.mark.parametrize(
+        "scores, mask",
+        [([[0.1, 0.2], [0.3, 0.4]], [[1, 0], [0, 1]]), (0.5, 1), ([0.1, 0.2], [[1, 0]])],
+    )
+    def test_not_one_d_rejected(self, scores, mask):
+        with pytest.raises(DataFormatError, match="1-D"):
+            edge_mask_auc(scores, mask)
+
+    def test_bitwise_equal_to_scipy_average_ranks(self):
+        """The numpy tie-group ranks give exactly the AUC that scipy's
+        average ranks give, ties between -0.0 and 0.0 included."""
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(62)
+        for _ in range(1200):
+            n = int(rng.integers(2, 40))
+            mask = rng.integers(0, 2, size=n)
+            mask[rng.choice(n, size=2, replace=False)] = [0, 1]
+            # few distinct values, so most inputs carry ties, mixed with
+            # some untied ones
+            tied = rng.choice([-1.5, -0.0, 0.0, 0.25, 1e-300, 3.0], size=n)
+            scores = np.where(rng.random(n) < 0.3, rng.normal(size=n), tied)
+            pos = int(mask.sum())
+            ranks = rankdata(scores)
+            expected = float(
+                (ranks[mask == 1].sum() - pos * (pos + 1) / 2) / (pos * (n - pos))
+            )
+            assert edge_mask_auc(scores, mask) == expected
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):

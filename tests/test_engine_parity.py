@@ -136,15 +136,26 @@ def test_dense_and_csr_paths_share_one_degree_order(seed):
 def test_csr_matmul_is_scipy_product(index_dtype, d):
     """models.csr_matmul calls scipy's kernel directly: pinned bitwise to
     operator @ h, so a scipy release that moves or changes the kernel fails
-    here."""
+    here. The same bits when it overwrites a given buffer, and for the CSR
+    copy of a transpose against the CSC view .T (the trainer's backward)."""
     rng = np.random.default_rng(33)
-    a = sp.random(205, 205, density=0.02, format="csr", random_state=34)
+    a = sp.random(205, 180, density=0.02, format="csr", random_state=34)
     a.indices = a.indices.astype(index_dtype)
     a.indptr = a.indptr.astype(index_dtype)
-    h = rng.uniform(-1.0, 1.0, size=(205, d))
+    h = rng.uniform(-1.0, 1.0, size=(180, d))
     got = csr_matmul(a, h)
     assert a.indices.dtype == a.indptr.dtype == index_dtype
     np.testing.assert_array_equal(got, a @ h)
+
+    buffer = np.full((205, d), np.nan)
+    assert csr_matmul(a, h, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, got)
+    for bad in (np.empty((205, 2 * d))[:, ::2], np.empty((205, d), dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            csr_matmul(a, h, out=bad)
+
+    g = rng.uniform(-1.0, 1.0, size=(205, d))
+    np.testing.assert_array_equal(csr_matmul(a.T.tocsr(), g), a.T @ g)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
