@@ -99,8 +99,7 @@ def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarr
     out = np.empty(num_rows)
     for lo in range(0, num_rows, step):
         hi = min(lo + step, num_rows)
-        preds = forward_rows(m, g, *make_rows(lo, hi), counter)
-        out[lo:hi] = [p.probabilities[target_class] for p in preds]
+        out[lo:hi] = forward_rows(m, g, *make_rows(lo, hi), counter)[1][:, target_class]
     return out
 
 
@@ -460,9 +459,12 @@ def brute_force_best_subgraph(
     counter: ForwardCounter | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of overall fidelity over every nonempty undirected
-    edge subset; ties go to the lexicographically smallest subset."""
+    edge subset; ties go to the lexicographically smallest subset. A graph
+    without edges has no such subset: UndefinedMetricError."""
     target_class = _target(m, target_class)
     num_edges = g.num_undirected_edges
+    if num_edges < 1:
+        raise UndefinedMetricError("cannot enumerate the edge subsets of a graph without edges")
     if num_edges > cap:
         raise EnumerationTooLargeError(f"{num_edges} edges exceeds cap {cap}")
     original = forward(m, g, counter)

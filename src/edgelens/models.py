@@ -10,7 +10,6 @@ base points sound.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -170,16 +169,18 @@ def forward_dense(
     features: np.ndarray,
     counter: ForwardCounter | None = None,
     kept: np.ndarray | None = None,
-) -> Prediction:
-    """One full model evaluation phi(A, X) over a prebuilt (s, s) operator,
-    a dense array or a CSR matrix: the normalization D^-1/2 (A + I) D^-1/2
-    for a GCN, A itself for a GIN. With the boolean (s,) `kept`, only the
-    kept nodes are pooled.
+) -> np.ndarray:
+    """The (C,) logits of one full model evaluation phi(A, X) over a prebuilt
+    (s, s) operator, a dense array or a CSR matrix: the normalization
+    D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN. With the boolean
+    (s,) `kept`, only the kept nodes are pooled. forward_rows takes the
+    softmax and checks the logits, once per batch.
 
     At these sizes a pass costs mostly numpy's per-call overhead, so each
     step takes as few calls as its arithmetic allows: biases and ReLUs in
     place, GIN's (1 + eps) h added onto A h, a CSR product straight through
-    csr_matmul. None of it changes a bit (tests/test_engine_parity.py).
+    csr_matmul, BLAS products through np.dot rather than the @ operator's
+    dispatch. None of it changes a bit (tests/test_engine_parity.py).
     """
     if counter is not None:
         counter.tick()
@@ -187,16 +188,16 @@ def forward_dense(
     h = features
     if m.conv_kind == "gcn":
         for layer in m.layers:
-            z = (csr_matmul(operator, h) if sparse else operator @ h) @ layer.weight
+            z = np.dot(csr_matmul(operator, h) if sparse else np.dot(operator, h), layer.weight)
             z += layer.bias
             h = np.maximum(z, 0.0, out=z)
     else:
         for layer in m.layers:
-            agg = csr_matmul(operator, h) if sparse else operator @ h
+            agg = csr_matmul(operator, h) if sparse else np.dot(operator, h)
             agg += (1.0 + layer.epsilon) * h
-            z = agg @ layer.w1
+            z = np.dot(agg, layer.w1)
             z += layer.b1
-            h = np.maximum(z, 0.0, out=z) @ layer.w2
+            h = np.dot(np.maximum(z, 0.0, out=z), layer.w2)
             h += layer.b2
     if kept is not None:
         h = h[kept]
@@ -205,20 +206,22 @@ def forward_dense(
     if m.pooling == "mean":
         pooled /= h.shape[0]
     cls = m.classifier
-    hidden = pooled @ cls.w1
+    hidden = np.dot(pooled, cls.w1)
     hidden += cls.b1
-    logits = np.maximum(hidden, 0.0, out=hidden) @ cls.w2
+    logits = np.dot(np.maximum(hidden, 0.0, out=hidden), cls.w2)
     logits += cls.b2
-    values = logits.tolist()
-    if not all(map(math.isfinite, values)):
+    return logits
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (B, C) logits: each row less its max,
+    exponentiated, over its sum, every row bitwise the same steps on that
+    row alone. Any non-finite logit raises NumericalFailureError."""
+    if not np.isfinite(logits).all():
         raise NumericalFailureError("non-finite logits")
-    probs = np.exp(logits - max(values))
-    probs /= np.add.reduce(probs)
-    return Prediction(
-        logits=logits,
-        probabilities=probs,
-        predicted_class=int(probs.argmax()),
-    )
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= np.add.reduce(probs, 1, keepdims=True)
+    return probs
 
 
 # Byte budget of one chunk: an operator stack holds about one matrix at
@@ -340,19 +343,21 @@ def forward_rows(
     weights: np.ndarray,
     nodes: np.ndarray,
     counter: ForwardCounter | None = None,
-) -> list[Prediction]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass per row: row i evaluates the standalone graph of the
     nodes set in row i of the boolean (B, n) `nodes`, its edges carrying
     row i of the (B, E) `weights`. Every row keeps at least one node.
+    Returns the (B, C) logits and the (B, C) probabilities.
 
     On a graph whose stored entries fill less than CSR_MAX_FILL of the
     dense cells, every row runs over all n nodes through one CSR operator
     (see _csr_forward_rows). Otherwise rows are grouped by node count, and
     each group's dense operators are built as stacks of at most
-    STACK_BYTES; forward_dense then runs once per row.
+    STACK_BYTES. Either way forward_dense runs once per row and
+    softmax_rows once per call.
 
     A model whose finite parameters overflow float64 raises
-    NumericalFailureError from forward_dense, with no numpy warning: the
+    NumericalFailureError from softmax_rows, with no numpy warning: the
     call runs with overflow and invalid operations ignored.
     """
     if g.d != m.input_dim:
@@ -361,15 +366,18 @@ def forward_rows(
         raise DataFormatError("cannot evaluate a graph with no nodes")
     with np.errstate(over="ignore", invalid="ignore"):
         if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
-            return _csr_forward_rows(m, g, weights, nodes, counter)
-        return _dense_forward_rows(m, g, weights, nodes, counter)
+            logits = _csr_forward_rows(m, g, weights, nodes, counter)
+        else:
+            logits = _dense_forward_rows(m, g, weights, nodes, counter)
+        return logits, softmax_rows(logits)
 
 
-def _dense_forward_rows(m, g, weights, nodes, counter) -> list[Prediction]:
-    """forward_rows over each row's kept nodes only: rows grouped by node
-    count, each group's operators built as stacks of at most STACK_BYTES."""
+def _dense_forward_rows(m, g, weights, nodes, counter) -> np.ndarray:
+    """forward_rows' logits over each row's kept nodes only: rows grouped by
+    node count, each group's operators built as stacks of at most
+    STACK_BYTES."""
     sizes = nodes.sum(axis=1)
-    out: list = [None] * len(sizes)
+    out = np.empty((len(sizes), m.num_classes))
     for s in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == s)
         step = max(1, STACK_BYTES // (8 * s * s))
@@ -384,24 +392,24 @@ def _dense_forward_rows(m, g, weights, nodes, counter) -> list[Prediction]:
     return out
 
 
-def _csr_forward_rows(m, g, weights, nodes, counter) -> list[Prediction]:
-    """forward_rows over all n nodes of every row: one csr_matrix of g's
-    pattern, its values swapped in row by row from csr_values chunks of at
-    most STACK_BYTES. A dropped node's entries to and from kept nodes are
-    0, and forward_dense pools the kept nodes only, so each row is bitwise
-    the CSR pass of its standalone graph."""
+def _csr_forward_rows(m, g, weights, nodes, counter) -> np.ndarray:
+    """forward_rows' logits over all n nodes of every row: one csr_matrix of
+    g's pattern, its values swapped in row by row from csr_values chunks of
+    at most STACK_BYTES. A dropped node's entries to and from kept nodes
+    are 0, and forward_dense pools the kept nodes only, so each row is
+    bitwise the CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
     pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=gcn)
     rows, cols, _ = pattern
     op = csr_operator(rows, cols, np.zeros(len(cols)), g.n)
     step = max(1, STACK_BYTES // (8 * max(1, len(cols))))
-    out = []
+    out = np.empty((len(weights), m.num_classes))
     for lo in range(0, len(weights), step):
         kept = nodes[lo : lo + step]
         values = csr_values(g, pattern, weights[lo : lo + step], kept, gcn)
-        for row_values, row_kept in zip(values, kept):
+        for r, (row_values, row_kept) in enumerate(zip(values, kept), lo):
             op.data = row_values
-            out.append(forward_dense(m, op, g.features, counter, row_kept))
+            out[r] = forward_dense(m, op, g.features, counter, row_kept)
     return out
 
 
@@ -416,6 +424,13 @@ def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nodes[row, g.edge_v[e]] = True
     nodes[~kept.any(axis=1)] = True
     return weights, nodes
+
+
+def _prediction(logits: np.ndarray, probs: np.ndarray) -> Prediction:
+    """The Prediction of forward_rows' single row."""
+    return Prediction(
+        logits=logits[0], probabilities=probs[0], predicted_class=int(probs[0].argmax())
+    )
 
 
 def forward(
@@ -435,7 +450,7 @@ def forward(
         )
     rows = np.asarray(weights, dtype=np.float64)[None]
     check_edge_weights(rows)
-    return forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool), counter)[0]
+    return _prediction(*forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool), counter))
 
 
 def forward_on_induced(
@@ -451,7 +466,9 @@ def forward_on_induced(
     nodes[0, list(s.nodes)] = True
     if not s.nodes:
         nodes[:] = True
-    return forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes, counter)[0]
+    return _prediction(
+        *forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes, counter)
+    )
 
 
 def _part_to_obj(part) -> dict:

@@ -26,9 +26,11 @@ from edgelens import (
     ig_edge_scores,
     init_gcn,
     linear_gradient_scores,
+    oracle_report,
     sa_edge_scores,
 )
 from edgelens import models
+from edgelens.data import DatasetRecord
 from edgelens.models import STACK_BYTES, csr_matmul, forward_rows, subgraph_rows
 
 from conftest import assert_one_gcn_normalization, gin_model, overflowing, path_graph, reweighted
@@ -158,6 +160,173 @@ def test_csr_matmul_is_scipy_product(index_dtype, d):
     np.testing.assert_array_equal(csr_matmul(a.T.tocsr(), g), a.T @ g)
 
 
+def matmul_logits(m, operator, features, kept=None):
+    """forward_dense's pass as written with the @ operator, each product
+    first checked bitwise against the np.dot call forward_dense makes."""
+
+    def product(a, b):
+        np.testing.assert_array_equal(np.dot(a, b), a @ b, err_msg=f"{a.shape} x {b.shape}")
+        return a @ b
+
+    sparse = not isinstance(operator, np.ndarray)
+    propagate = (lambda h: csr_matmul(operator, h)) if sparse else (lambda h: product(operator, h))
+    h = features
+    for layer in m.layers:
+        if m.conv_kind == "gcn":
+            h = np.maximum(product(propagate(h), layer.weight) + layer.bias, 0.0)
+        else:
+            agg = propagate(h) + (1.0 + layer.epsilon) * h
+            h = product(np.maximum(product(agg, layer.w1) + layer.b1, 0.0), layer.w2) + layer.b2
+    if kept is not None:
+        h = h[kept]
+    pooled = np.add.reduce(h, 0)
+    if m.pooling == "mean":
+        pooled /= h.shape[0]
+    cls = m.classifier
+    hidden = np.maximum(product(pooled, cls.w1) + cls.b1, 0.0)
+    return product(hidden, cls.w2) + cls.b2
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("d", [1, 7, 32])
+def test_dot_is_matmul_in_every_forward_product(kind, d):
+    """forward_dense makes its BLAS products with np.dot, which skips the @
+    operator's dispatch. Pinned bitwise to @ for every product shape a
+    pass makes: the (s, s) operator times (s, d) features (s = 1 gives a
+    1 x 1 operator, which np.dot treats as a scalar), the layer weights,
+    and the classifier's 1-D input (a gemv), for dense and CSR operators.
+    A numpy or BLAS release that routes one of them differently fails
+    here."""
+    rng = np.random.default_rng(40 + d)
+    m = (
+        init_gcn(d, 2, d, 3, seed=41, init_scale=0.3)
+        if kind == "gcn"
+        else gin_model(42, d, hidden=d, num_layers=2, num_classes=3)
+    )
+    for s in (1, 2, 10, 25):
+        a = np.triu(rng.uniform(size=(s, s)) * (rng.uniform(size=(s, s)) < 0.4), 1)
+        a += a.T
+        op = models.gcn_normalize(a[None].copy())[0] if kind == "gcn" else a
+        x = rng.uniform(-1.0, 1.0, size=(s, d))
+        np.testing.assert_array_equal(models.forward_dense(m, op, x), matmul_logits(m, op, x))
+    g = ba_graph(200, seed=43, weighted=False)
+    x = rng.uniform(-1.0, 1.0, size=(g.n, d))
+    pattern = models.csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=kind == "gcn")
+    kept = rng.uniform(size=(1, g.n)) < 0.5
+    values = models.csr_values(g, pattern, g.edge_weight[None], kept, kind == "gcn")[0]
+    op = models.csr_operator(*pattern[:2], values, g.n)
+    got = models.forward_dense(m, op, x, None, kept[0])
+    np.testing.assert_array_equal(got, matmul_logits(m, op, x, kept[0]))
+
+
+def per_row_softmax(logits):
+    """The softmax forward_dense took of its own logits before
+    forward_rows took it once per batch."""
+    probs = np.exp(logits - max(logits.tolist()))
+    probs /= np.add.reduce(probs)
+    return probs
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 7, 16])
+def test_batch_softmax_is_per_row_softmax(num_classes):
+    """softmax_rows on a (B, C) batch gives each row the bits of the per-row
+    form: rows spread from 1e-3 to 1e4, far enough that exp underflows to
+    subnormals and to 0, tied maxima, all-equal rows and signed zeros."""
+    rng = np.random.default_rng(44)
+    rows = [rng.normal(size=(40, num_classes)) * scale for scale in (1e-3, 1.0, 30.0, 745.0, 1e4)]
+    ties = rng.normal(size=(40, num_classes))
+    ties[:, 1] = ties[:, 0] = ties.max(axis=1)
+    zeros = np.zeros((3, num_classes))
+    zeros[1] = -0.0
+    zeros[2, ::2] = -0.0
+    underflow = np.zeros((2, num_classes))
+    underflow[:, 1:] = [[-745.0], [-760.0]]
+    logits = np.concatenate(rows + [ties, zeros, np.ones((1, num_classes)), underflow])
+    rng.shuffle(logits)
+    got = models.softmax_rows(logits)
+    assert got.shape == logits.shape
+    for row, probs in zip(logits, got):
+        np.testing.assert_array_equal(probs, per_row_softmax(row))
+    assert (got == 0.0).any() and ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("base_nodes", [20, 200], ids=["dense", "csr"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_row_inside_a_batch_fails_typed(kind, base_nodes, bad, monkeypatch):
+    """One non-finite logit in the middle row of a batch: NumericalFailureError
+    from forward_rows, with no numpy warning, on either path."""
+    m = MODELS[kind]()
+    g = ba_graph(base_nodes, seed=45, weighted=True)
+    assert takes_csr_path(g) == (base_nodes == 200)
+    weights = np.repeat(g.edge_weight[None], 5, axis=0)
+    nodes = np.ones((5, g.n), dtype=bool)
+    passes = []
+    real = models.forward_dense
+
+    def spoiled(*args):
+        logits = real(*args)
+        passes.append(len(passes))
+        if len(passes) == 3:
+            logits[-1] = bad
+        return logits
+
+    monkeypatch.setattr(models, "forward_dense", spoiled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="non-finite logits"):
+            forward_rows(m, g, weights, nodes)
+    assert len(passes) == 5
+
+
+CLOSED_FORM_PASSES = {
+    "linear-gradient": lambda e: 3 * e + 1,
+    "sa": lambda e: 4 * e + 1,
+    "ig": lambda e: 1 + 50 * (e + 1) + 2 * e,
+}
+
+
+@pytest.mark.parametrize("path", ["dense", "csr"])
+def test_forward_dense_runs_the_closed_form_number_of_times(path, monkeypatch):
+    """The benchmark's traced check, in tier-1: models.forward_dense,
+    wrapped on the module, receives (m, operator) positionally and runs
+    exactly the closed-form number of times per explanation and per oracle
+    report (explain, its original pass, two per nonempty edge subset)."""
+    if path == "dense":
+        g = Graph.undirected(
+            np.random.default_rng(46).uniform(size=(7, FEATURES)),
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4), (4, 5), (5, 6)],
+        )
+    else:
+        # 60 nodes and 6 edges fill 72 / 3600 cells, under CSR_MAX_FILL.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 40), (40, 59)]
+        g = Graph.undirected(np.random.default_rng(47).uniform(size=(60, FEATURES)), edges)
+    assert takes_csr_path(g) == (path == "csr")
+    num_edges = g.num_undirected_edges
+    calls = []
+    real = models.forward_dense
+
+    def counted(*args, **kwargs):
+        assert len(args) >= 2 and not {"m", "operator"} & kwargs.keys()
+        assert isinstance(args[0], models.ModelSpec)
+        assert isinstance(args[1], sp.csr_matrix if path == "csr" else np.ndarray)
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "forward_dense", counted)
+    for kind in sorted(MODELS):
+        m = MODELS[kind]()
+        for method, passes in CLOSED_FORM_PASSES.items():
+            calls.clear()
+            e = explain(m, g, method=method)
+            assert len(calls) == e.forward_passes_used == passes(num_edges), (kind, method)
+        calls.clear()
+        oracle_report(m, [DatasetRecord(g, 0, (0,) * num_edges, 0)])
+        assert len(calls) == (3 * num_edges + 1) + 1 + 2 * (2**num_edges - 1), kind
+        if path == "csr":
+            assert set(calls) == {(g.n, g.n)}
+
+
 @pytest.mark.parametrize("kind", sorted(MODELS))
 @pytest.mark.parametrize("n", [3, 300], ids=["dense", "csr"])
 def test_overflowing_model_fails_typed_without_warning(kind, n):
@@ -272,16 +441,16 @@ def test_mixed_row_batch_matches_reference(kind, monkeypatch):
         return stack
 
     monkeypatch.setattr(models, "weighted_adjacency", recorded)
-    got = forward_rows(m, g, weights[order], nodes[order])
+    _, got = forward_rows(m, g, weights[order], nodes[order])
     full = [b for b, s, _ in built if s == g.n]
     assert len(full) >= 2 and max(full) <= per_chunk and sum(b for b, _, _ in built) == len(order)
-    for pred, i in zip(got, order):
+    for probs, i in zip(got, order):
         if i < len(reweights):
             overrides = dict(enumerate(reweights[i].tolist()))
             want = loop_probabilities(m, loop_adjacency(g, overrides), g.features)
         else:
             want = loop_probabilities_on_edges(m, g, np.flatnonzero(kept[i - len(reweights)]))
-        np.testing.assert_array_equal(pred.probabilities, want)
+        np.testing.assert_array_equal(probs, want)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -314,11 +483,11 @@ def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
     nodes = np.concatenate((np.ones((len(reweights), g.n), bool), fid_nodes, induced))
     order = rng.permutation(len(weights))
     built = record_builds(monkeypatch, "csr_values")
-    got = forward_rows(m, g, weights[order], nodes[order])
+    _, got = forward_rows(m, g, weights[order], nodes[order])
     chunks = [b for _, b in built]
     assert len(chunks) >= 2 and max(chunks) == per_chunk and sum(chunks) == len(order)
     references = (loop_csr_probabilities, loop_probabilities)
-    for pred, i in zip(got, order):
+    for probs, i in zip(got, order):
         if i < len(reweights):
             a = loop_adjacency(g, dict(enumerate(reweights[i].tolist())))
             want = [p(m, a, g.features) for p in references]
@@ -329,8 +498,8 @@ def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
             keep = nodes[i]
             a = loop_adjacency(g)[np.ix_(keep, keep)]
             want = [p(m, a, g.features[keep]) for p in references]
-        np.testing.assert_array_equal(pred.probabilities, want[0])
-        np.testing.assert_allclose(pred.probabilities, want[1], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(probs, want[0])
+        np.testing.assert_allclose(probs, want[1], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

@@ -343,6 +343,15 @@ class TestOracle:
         assert score == max(manual.values())
         assert manual[subset] == score
 
+    def test_graph_without_edges_is_undefined(self, small_model):
+        """No nonempty edge subset exists: a typed error, as linear_search
+        gives, not a (None, -inf) answer."""
+        g = Graph.undirected(np.ones((3, 2)), [])
+        counter = ForwardCounter()
+        with pytest.raises(UndefinedMetricError, match="without edges"):
+            brute_force_best_subgraph(small_model, g, 0, counter=counter)
+        assert counter.count == 0
+
 
 class TestSerialization:
     def test_stable_output(self, small_model):
