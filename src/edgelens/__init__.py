@@ -35,7 +35,6 @@ from .explain import (
     EdgeScores,
     Explanation,
     brute_force_best_subgraph,
-    edge_set_importance,
     explain,
     fidelity_minus,
     fidelity_plus,

@@ -13,7 +13,7 @@ import click
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import EdgeLensError, NumericalFailureError
-from .explain import METHODS, save_explanation
+from .explain import K_RANGES, METHODS, save_explanation
 from .explain import explain as run_explain
 from .graphs import load_graph
 from .models import load_model, save_model
@@ -68,9 +68,7 @@ def main():
     show_default=True,
     type=click.Choice(METHODS),
 )
-@click.option(
-    "--k-range", default="full", show_default=True, type=click.Choice(["full", "paper"])
-)
+@click.option("--k-range", default="full", show_default=True, type=click.Choice(K_RANGES))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dot", "dot_path", default=None, type=click.Path())
 def explain_cmd(model_path, graph_path, target_class, method, k_range, out_path, dot_path):
@@ -118,7 +116,7 @@ def explain_cmd(model_path, graph_path, target_class, method, k_range, out_path,
     show_default=True,
     callback=_comma_list(_SparsityLevel()),
 )
-@click.option("--k-range", default="full", show_default=True, type=click.Choice(["full", "paper"]))
+@click.option("--k-range", default="full", show_default=True, type=click.Choice(K_RANGES))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def evaluate_cmd(model_path, dataset_path, methods, levels, k_range, out_path):
     """Fidelity curves plus the method-comparison table."""

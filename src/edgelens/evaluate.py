@@ -15,8 +15,10 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 from .explain import (
+    K_RANGES,
     METHODS,
     Explanation,
+    _check_choice,
     _prefix_drops,
     brute_force_best_subgraph,
     explain,
@@ -41,6 +43,7 @@ def fidelity_curve(
 ) -> list[CurvePoint]:
     """Mean fidelity of the top-ceil((1 - level) * |E|) ranked edges per
     sparsity level, averaged over the dataset."""
+    _check_choice("method", method, METHODS)
     levels = list(levels)
     for level in levels:
         if not 0.0 <= level <= 1.0:
@@ -92,6 +95,10 @@ def compare_methods(
     mean overall fidelity, chosen sparsity and forward passes."""
     if len(dataset) == 0:
         raise UndefinedMetricError("empty dataset; no method to compare")
+    methods = tuple(methods)
+    for method in methods:
+        _check_choice("method", method, METHODS)
+    _check_choice("k_range", k_range, K_RANGES)
     summaries = []
     for method in methods:
         overall = spars = passes = 0.0

@@ -32,6 +32,7 @@ from .models import (
 )
 
 METHODS = ("linear-gradient", "sa", "ig")
+K_RANGES = ("full", "paper")
 
 # Edge subsets the brute-force oracle evaluates per batch (two rows each).
 _SUBSET_BLOCK = 4096
@@ -81,11 +82,11 @@ def _target(m: ModelSpec, target_class) -> int:
     return int(target_class)
 
 
-def _l1_distance(g: Graph, edges) -> float:
-    """Entrywise L1 distance between the adjacency and its base point,
-    summed over both directed realizations of each zeroed edge, one edge at
-    a time in index order."""
-    return sum((2.0 * g.edge_weight[edges]).tolist())
+def _check_choice(kind: str, value, choices: tuple[str, ...]) -> None:
+    """ValueError unless `value`, the named option, is one of `choices`;
+    checked before any forward pass."""
+    if value not in choices:
+        raise ValueError(f"unknown {kind} {value!r}")
 
 
 def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarray:
@@ -117,33 +118,6 @@ def _one_edge_moved(m, g, bases, base_of, edges, values, target_class, counter) 
     return _probabilities(m, g, len(edges), rows, target_class, counter)
 
 
-def edge_set_importance(
-    m: ModelSpec,
-    g: Graph,
-    edges,
-    target_class: int,
-    counter: ForwardCounter | None = None,
-    original: Prediction | None = None,
-) -> float:
-    """Slope of the prediction line from the base point of `edges` to the
-    graph: (phi(c|A) - phi(c|A_base)) / |A - A_base|_1."""
-    target_class = _target(m, target_class)
-    selected = edge_mask(g, edges)
-    if not selected.any():
-        raise UndefinedMetricError("importance of an empty edge set is undefined")
-    if original is None:
-        original = forward(m, g, counter)
-    base = g.edge_weight.copy()
-    base[selected] = 0.0
-    at_base = forward(m, g, counter, base)
-    denom = _l1_distance(g, selected)
-    if denom == 0.0:
-        return 0.0
-    return (
-        original.probabilities[target_class] - at_base.probabilities[target_class]
-    ) / denom
-
-
 def linear_gradient_scores(
     m: ModelSpec,
     g: Graph,
@@ -151,9 +125,12 @@ def linear_gradient_scores(
     counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> EdgeScores:
-    """Per-edge importance; exactly |E| forwards plus one for the original
-    prediction when it is not supplied. Edge e's base point is
-    g.edge_weight with entry e at 0."""
+    """Per-edge importance: the slope (p(G) - p(G with w_e = 0)) / 2 w_e of
+    the prediction line from edge e's base point, g.edge_weight with entry
+    e at 0, to the graph, over the entrywise L1 distance between their
+    adjacencies (both directions of the edge). An edge of weight 0 scores
+    0. Exactly |E| forwards plus one for the original prediction when it is
+    not supplied."""
     target_class = _target(m, target_class)
     if original is None:
         original = forward(m, g, counter)
@@ -163,7 +140,6 @@ def linear_gradient_scores(
     at_base = _one_edge_moved(
         m, g, g.edge_weight[None], base_of, edges, np.zeros(num_edges), target_class, counter
     )
-    # _l1_distance of one edge: 2 w_e; a 0 distance scores 0.
     denom = 2.0 * g.edge_weight
     moved = denom != 0.0
     values = np.zeros(num_edges)
@@ -246,13 +222,12 @@ def score_edges(
     The scorers are looked up by module-global name on each call, so a
     wrapper installed on this module's attribute sees every call.
     """
+    _check_choice("method", method, METHODS)
     if method == "linear-gradient":
         return linear_gradient_scores(m, g, target_class, counter, original)
     if method == "sa":
         return sa_edge_scores(m, g, target_class, counter=counter)
-    if method == "ig":
-        return ig_edge_scores(m, g, target_class, counter=counter)
-    raise ValueError(f"unknown method {method!r}")
+    return ig_edge_scores(m, g, target_class, counter=counter)
 
 
 def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
@@ -359,15 +334,11 @@ def overall_fidelity(
 
 
 def _candidate_range(num_edges: int, k_range: str) -> range:
-    if k_range == "full":
-        return range(1, num_edges + 1)
-    if k_range == "paper":
-        # The narrow variant skips k=1 and k=|E|; degenerate graphs fall
-        # back to the full range so a candidate always exists.
-        if num_edges >= 3:
-            return range(2, num_edges)
-        return range(1, num_edges + 1)
-    raise ValueError(f"unknown k_range {k_range!r}")
+    # The "paper" variant skips k=1 and k=|E|; degenerate graphs fall back
+    # to the full range so a candidate always exists.
+    if k_range == "paper" and num_edges >= 3:
+        return range(2, num_edges)
+    return range(1, num_edges + 1)
 
 
 def linear_search(
@@ -384,6 +355,7 @@ def linear_search(
     """Evaluate the ranked-prefix subgraphs and keep the overall-fidelity
     maximizer; ties resolve to the smallest prefix."""
     target_class = _target(m, target_class)
+    _check_choice("k_range", k_range, K_RANGES)
     num_edges = g.num_undirected_edges
     if num_edges < 1:
         raise UndefinedMetricError("cannot search a graph without edges")
@@ -433,6 +405,8 @@ def explain(
     auto = isinstance(target_class, str) and target_class == "auto"
     if not auto:
         target_class = _target(m, target_class)
+    _check_choice("method", method, METHODS)
+    _check_choice("k_range", k_range, K_RANGES)
     counter = ForwardCounter()
     original = forward(m, g, counter)
     c = original.predicted_class if auto else target_class

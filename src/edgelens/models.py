@@ -239,45 +239,6 @@ STACK_BYTES = 1 << 19
 CSR_MAX_FILL = 0.025
 
 
-def weighted_adjacency(g: Graph, weights: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(b, s, s) stack of dense adjacencies, one per row of the (b, E)
-    `weights` and the boolean (b, n) `nodes`, each row keeping s nodes.
-
-    Row i keeps its nodes in ascending order, and each edge between two
-    kept nodes carries weights[i, e] in both directions.
-    """
-    b, s = len(nodes), int(nodes[0].sum())
-    a = np.zeros((b, s, s), dtype=np.float64)
-    # pos[i, v]: node v's index among row i's kept nodes; start[i, v]: the
-    # flat offset of its row of the stack.
-    pos = np.cumsum(nodes, axis=1) - 1
-    start = pos * s + np.arange(0, b * s * s, s * s)[:, None]
-    kept = nodes[:, g.edge_u] & nodes[:, g.edge_v]
-    w = weights[kept]
-    flat = a.reshape(-1)
-    flat[(start[:, g.edge_u] + pos[:, g.edge_v])[kept]] = w
-    flat[(start[:, g.edge_v] + pos[:, g.edge_u])[kept]] = w
-    return a
-
-
-def gcn_normalize(a: np.ndarray) -> np.ndarray:
-    """D^-1/2 (A + I) D^-1/2 of a (..., s, s) adjacency stack, in place; the
-    same operations in the same order as d[..., :, None] * (A + I) *
-    d[..., None, :], so bitwise equal to it.
-
-    A GCN degree is its node's row of A + I added one entry at a time in
-    column order, as csr_values adds it. numpy reduces a non-last axis one
-    row after another, so the column sums of the symmetric A + I are
-    exactly those row sums; the last-axis sum would add pairwise.
-    """
-    s = a.shape[-1]
-    a[..., np.arange(s), np.arange(s)] += 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=-2))
-    a *= d_inv_sqrt[..., :, None]
-    a *= d_inv_sqrt[..., None, :]
-    return a
-
-
 def csr_pattern(
     edge_u: np.ndarray, edge_v: np.ndarray, n: int, self_loops: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -317,10 +278,11 @@ def csr_values(
 
     An edge entry carries weights[i, e] when both endpoints are kept in row
     i and 0 otherwise; a self loop carries 1. For a GCN each value is then
-    scaled to (w * d_i) * d_j, as gcn_normalize scales, with d_i the
-    inverse square root of node i's entries summed one by one in column
-    order, the degree gcn_normalize takes: a stored 0 leaves such a sum
-    unchanged, so each kept node gets the degree of its standalone graph.
+    scaled to (w * d_i) * d_j, the entries of D^-1/2 (A + I) D^-1/2, with
+    d_i the inverse square root of node i's entries summed one by one in
+    column order: a stored 0 leaves such a sum unchanged, so each kept node
+    gets the degree of its standalone graph. This is the one place a GCN
+    degree is computed.
     """
     rows, cols, source = pattern
     b, n, num_edges = len(nodes), g.n, g.num_undirected_edges
@@ -337,6 +299,37 @@ def csr_values(
     return values
 
 
+def weighted_adjacency(
+    g: Graph,
+    pattern: tuple[np.ndarray, np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    nodes: np.ndarray,
+    gcn: bool,
+) -> np.ndarray:
+    """(b, s, s) stack of dense operators, one per row of the (b, E)
+    `weights` and the boolean (b, n) `nodes`, each row keeping s nodes.
+
+    Row i keeps its nodes in ascending order and holds the csr_values of
+    g's csr_pattern `pattern` whose two endpoints it keeps, each at their
+    positions among its kept nodes; every other cell is 0. So the dense
+    path, the CSR path and the trainer take every operator entry from the
+    one function.
+    """
+    rows, cols, _ = pattern
+    b, s = len(nodes), int(nodes[0].sum())
+    size = b * s * s
+    values = csr_values(g, pattern, weights, nodes, gcn)
+    # pos[i, v]: node v's index among row i's kept nodes, or `size` for a
+    # dropped node, so that an entry's flat offset in the stack is past
+    # its end exactly when it touches a dropped node; all of those land
+    # in one spare cell.
+    pos = np.where(nodes, np.cumsum(nodes, axis=1) - 1, size)
+    cell = pos[:, rows] * s + pos[:, cols] + np.arange(0, size, s * s)[:, None]
+    flat = np.zeros(size + 1)
+    flat[np.minimum(cell, size, out=cell)] = values
+    return flat[:size].reshape(b, s, s)
+
+
 def forward_rows(
     m: ModelSpec,
     g: Graph,
@@ -349,12 +342,13 @@ def forward_rows(
     row i of the (B, E) `weights`. Every row keeps at least one node.
     Returns the (B, C) logits and the (B, C) probabilities.
 
-    On a graph whose stored entries fill less than CSR_MAX_FILL of the
-    dense cells, every row runs over all n nodes through one CSR operator
-    (see _csr_forward_rows). Otherwise rows are grouped by node count, and
-    each group's dense operators are built as stacks of at most
-    STACK_BYTES. Either way forward_dense runs once per row and
-    softmax_rows once per call.
+    Every operator entry comes from csr_values over g's csr_pattern, which
+    is built once per call. On a graph whose stored entries fill less than
+    CSR_MAX_FILL of the dense cells, every row runs over all n nodes
+    through one CSR operator (see _csr_forward_rows). Otherwise rows are
+    grouped by node count, and each group's dense operators are laid out
+    by weighted_adjacency, a chunk at a time. forward_dense runs once per
+    row and softmax_rows once per call.
 
     A model whose finite parameters overflow float64 raises
     NumericalFailureError from softmax_rows, with no numpy warning: the
@@ -364,42 +358,41 @@ def forward_rows(
         raise NumericalFailureError(f"feature dim {g.d} != model input dim {m.input_dim}")
     if g.n == 0:
         raise DataFormatError("cannot evaluate a graph with no nodes")
+    pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=m.conv_kind == "gcn")
     with np.errstate(over="ignore", invalid="ignore"):
         if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
-            logits = _csr_forward_rows(m, g, weights, nodes, counter)
+            logits = _csr_forward_rows(m, g, pattern, weights, nodes, counter)
         else:
-            logits = _dense_forward_rows(m, g, weights, nodes, counter)
+            logits = _dense_forward_rows(m, g, pattern, weights, nodes, counter)
         return logits, softmax_rows(logits)
 
 
-def _dense_forward_rows(m, g, weights, nodes, counter) -> np.ndarray:
+def _dense_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
     """forward_rows' logits over each row's kept nodes only: rows grouped by
-    node count, each group's operators built as stacks of at most
-    STACK_BYTES."""
+    node count, each chunk's (b, s, s) operator stack and its (b, nnz)
+    csr_values within STACK_BYTES."""
+    gcn = m.conv_kind == "gcn"
     sizes = nodes.sum(axis=1)
     out = np.empty((len(sizes), m.num_classes))
     for s in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == s)
-        step = max(1, STACK_BYTES // (8 * s * s))
+        step = max(1, STACK_BYTES // (8 * max(s * s, len(pattern[0]))))
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
-            ops = weighted_adjacency(g, weights[rows], nodes[rows])
-            if m.conv_kind == "gcn":
-                gcn_normalize(ops)
+            ops = weighted_adjacency(g, pattern, weights[rows], nodes[rows], gcn)
             feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
             for r, op, x in zip(rows.tolist(), ops, feats):
                 out[r] = forward_dense(m, op, x, counter)
     return out
 
 
-def _csr_forward_rows(m, g, weights, nodes, counter) -> np.ndarray:
+def _csr_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
     """forward_rows' logits over all n nodes of every row: one csr_matrix of
-    g's pattern, its values swapped in row by row from csr_values chunks of
+    the pattern, its values swapped in row by row from csr_values chunks of
     at most STACK_BYTES. A dropped node's entries to and from kept nodes
     are 0, and forward_dense pools the kept nodes only, so each row is
     bitwise the CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
-    pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=gcn)
     rows, cols, _ = pattern
     op = csr_operator(rows, cols, np.zeros(len(cols)), g.n)
     step = max(1, STACK_BYTES // (8 * max(1, len(cols))))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgelens import Graph, init_gcn
+from edgelens import Graph, forward, init_gcn
 from edgelens.data import DatasetRecord
 from edgelens.models import (
     Classifier,
@@ -12,7 +12,7 @@ from edgelens.models import (
     csr_operator,
     csr_pattern,
     csr_values,
-    gcn_normalize,
+    subgraph_rows,
     weighted_adjacency,
 )
 from edgelens.training import _Batch
@@ -44,6 +44,15 @@ def reweighted(g, edges, value):
     w = g.edge_weight.copy()
     w[list(edges)] = value
     return w
+
+
+def one_edge_drops(m, g, c):
+    """p(G) - p(G with w_e = 0) of class c for each edge e, one pass each."""
+    p = forward(m, g).probabilities[c]
+    return np.array([
+        p - forward(m, g, weights=reweighted(g, [e], 0.0)).probabilities[c]
+        for e in range(g.num_undirected_edges)
+    ])
 
 
 def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2):
@@ -103,21 +112,49 @@ def random_model(rng, feature_dim=3, num_layers=2, hidden_dim=4, num_classes=2):
     )
 
 
-def assert_one_gcn_normalization(graphs):
-    """Each graph's D^-1/2 (A + I) D^-1/2 is bitwise the same three ways:
-    the dense stack of one all-nodes row, the CSR operator of csr_values,
-    and the graph's block of the trainer's batch over all `graphs`."""
+def operator_rows(g, rng):
+    """forward_rows input of 31 rows of g: all nodes at g's weights, then
+    10 re-weighted rows (some edges at 0), 10 edge-induced rows and 10
+    node-induced rows at g's weights."""
+    num_edges = g.num_undirected_edges
+    reweighted_rows = rng.uniform(size=(10, num_edges))
+    reweighted_rows[rng.uniform(size=reweighted_rows.shape) < 0.3] = 0.0
+    kept = rng.uniform(size=(10, num_edges)) < np.linspace(0.05, 0.95, 10)[:, None]
+    edge_weights, edge_nodes = subgraph_rows(g, kept)
+    induced = rng.uniform(size=(10, g.n)) < np.linspace(0.2, 0.9, 10)[:, None]
+    induced[:, 0] = True
+    weights = np.concatenate(
+        (g.edge_weight[None], reweighted_rows, edge_weights, np.repeat(g.edge_weight[None], 10, 0))
+    )
+    nodes = np.concatenate((np.ones((11, g.n), dtype=bool), edge_nodes, induced))
+    return weights, nodes
+
+
+def assert_one_gcn_normalization(graphs, seed=0):
+    """Every operator entry is bitwise the same however it is laid out.
+    Each graph's D^-1/2 (A + I) D^-1/2 from csr_values, as a CSR operator,
+    is the graph's block of the trainer's batch over all `graphs`. And for
+    a GCN and a GIN, on the operator_rows of each graph, each row's dense
+    weighted_adjacency stack is its CSR operator restricted to its kept
+    nodes."""
     records = [DatasetRecord(g, 0, (0,) * g.num_undirected_edges, 0) for g in graphs]
     batch = _Batch(records, init_gcn(graphs[0].d, 1, 1, 1)).norm.toarray()
+    rng = np.random.default_rng(seed)
     offset = 0
     for g in graphs:
-        everything = np.ones((1, g.n), dtype=bool)
-        weights = g.edge_weight[None]
-        dense = gcn_normalize(weighted_adjacency(g, weights, everything))[0]
         pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=True)
-        values = csr_values(g, pattern, weights, everything, gcn=True)[0]
-        csr = csr_operator(pattern[0], pattern[1], values, g.n).toarray()
-        block = batch[offset : offset + g.n, offset : offset + g.n]
-        np.testing.assert_array_equal(dense, csr)
-        np.testing.assert_array_equal(block, csr)
+        values = csr_values(g, pattern, g.edge_weight[None], np.ones((1, g.n), bool), gcn=True)
+        csr = csr_operator(pattern[0], pattern[1], values[0], g.n).toarray()
+        np.testing.assert_array_equal(batch[offset : offset + g.n, offset : offset + g.n], csr)
         offset += g.n
+        weights, nodes = operator_rows(g, rng)
+        sizes = nodes.sum(axis=1)
+        for gcn in (True, False):
+            pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=gcn)
+            values = csr_values(g, pattern, weights, nodes, gcn)
+            for s in np.unique(sizes):
+                group = np.flatnonzero(sizes == s)
+                stacks = weighted_adjacency(g, pattern, weights[group], nodes[group], gcn)
+                for dense, i in zip(stacks, group):
+                    csr = csr_operator(pattern[0], pattern[1], values[i], g.n).toarray()
+                    np.testing.assert_array_equal(dense, csr[np.ix_(nodes[i], nodes[i])])

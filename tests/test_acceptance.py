@@ -41,7 +41,7 @@ from edgelens.data import DatasetRecord
 from edgelens.graphs import Graph
 from edgelens.models import forward
 
-from conftest import path_graph, random_graph, random_model, reweighted
+from conftest import one_edge_drops, path_graph, random_graph, random_model, reweighted
 
 # ---------------------------------------------------------------------------
 # Frozen experiment: 200-graph planted-motif corpus (seed 7) and the
@@ -137,24 +137,17 @@ def test_criterion_2_exhaustiveness_ordering():
 
 
 def test_criterion_3_slope_exactness():
-    """Score times L1 base distance reproduces the probability difference
-    to 1e-12 on 500 random (model, graph, edge-set, class) cases."""
-    from edgelens.explain import _l1_distance, edge_set_importance
-
+    """Each linear-gradient score times its L1 base distance 2 w_e
+    reproduces the probability difference p(G) - p(G with w_e = 0) to
+    1e-12, for every edge of 500 random (model, graph, class) cases."""
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(500):
         g = random_graph(rng)
         m = random_model(rng)
-        mcount = g.num_undirected_edges
-        size = int(rng.integers(1, mcount + 1))
-        edges = sorted(int(e) for e in rng.choice(mcount, size=size, replace=False))
         c = int(rng.integers(0, 2))
-        score = edge_set_importance(m, g, edges, c)
-        denom = _l1_distance(g, edges)
-        p_full = forward(m, g).probabilities[c]
-        p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
-        err = abs(score * denom - (p_full - p_base))
+        score = linear_gradient_scores(m, g, c).values
+        err = np.abs(score * 2.0 * g.edge_weight - one_edge_drops(m, g, c)).max()
         worst = max(worst, err)
         assert err < 1e-12
     print(f"criterion 3: PASS (500 cases, worst residual {worst:.2e})")

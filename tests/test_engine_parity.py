@@ -43,6 +43,7 @@ from reference_engine import (
     loop_probabilities,
     loop_probabilities_on_edges,
     loop_scores,
+    normalized_adjacency,
 )
 
 explain_module = sys.modules["edgelens.explain"]
@@ -206,7 +207,7 @@ def test_dot_is_matmul_in_every_forward_product(kind, d):
     for s in (1, 2, 10, 25):
         a = np.triu(rng.uniform(size=(s, s)) * (rng.uniform(size=(s, s)) < 0.4), 1)
         a += a.T
-        op = models.gcn_normalize(a[None].copy())[0] if kind == "gcn" else a
+        op = normalized_adjacency(a) if kind == "gcn" else a
         x = rng.uniform(-1.0, 1.0, size=(s, d))
         np.testing.assert_array_equal(models.forward_dense(m, op, x), matmul_logits(m, op, x))
     g = ba_graph(200, seed=43, weighted=False)
@@ -349,14 +350,15 @@ def takes_csr_path(g):
 
 def record_builds(monkeypatch, *names):
     """Wrap the models functions `names` so that each call appends (name,
-    number of rows built) to the returned list."""
+    leading dimension of its result) to the returned list: the number of
+    rows built, for weighted_adjacency and csr_values."""
     built = []
     for name in names:
         build = getattr(models, name)
 
         def recorded(*args, name=name, build=build):
             out = build(*args)
-            built.append((name, len(out)))
+            built.append((name, out.shape[0]))
             return out
 
         monkeypatch.setattr(models, name, recorded)
@@ -506,14 +508,16 @@ def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
 def test_one_graph_on_each_side_of_the_switch(kind, monkeypatch):
     """A 25-node graph with CSR_MAX_FILL patched just above its fill takes
     the CSR path, just below it the dense path: each explanation matches
-    its own reference bitwise, and the two agree to 1e-12."""
+    its own reference bitwise, and the two agree to 1e-12. Both paths take
+    their values from csr_values; the dense path lays them out with
+    weighted_adjacency, the CSR path with csr_operator."""
     m = MODELS[kind]()
     g = ba_graph(20, seed=31, weighted=True)
     fill = (2 * g.num_undirected_edges + g.n) / g.n**2
-    built = record_builds(monkeypatch, "weighted_adjacency", "csr_values")
+    built = record_builds(monkeypatch, "weighted_adjacency", "csr_operator")
     got = {}
     for limit, path, reference in (
-        (1.001 * fill, "csr_values", loop_csr_probabilities),
+        (1.001 * fill, "csr_operator", loop_csr_probabilities),
         (0.999 * fill, "weighted_adjacency", loop_probabilities),
     ):
         monkeypatch.setattr(models, "CSR_MAX_FILL", limit)
@@ -525,7 +529,7 @@ def test_one_graph_on_each_side_of_the_switch(kind, monkeypatch):
         fplus, fminus = loop_fidelities(m, g, e.ranked_edges[: e.chosen_k], c, reference)
         assert (e.fidelity_plus, e.fidelity_minus) == (fplus, fminus)
         got[path] = e
-    csr = got["csr_values"]
+    csr = got["csr_operator"]
     np.testing.assert_allclose(csr.scores, got["weighted_adjacency"].scores, rtol=0, atol=1e-12)
     dense = loop_fidelities(m, g, csr.ranked_edges[: csr.chosen_k], csr.target_class)
     np.testing.assert_allclose((csr.fidelity_plus, csr.fidelity_minus), dense, rtol=0, atol=1e-12)
@@ -615,6 +619,24 @@ def test_dense_graph_memory_is_bounded():
     tracemalloc.start()
     try:
         sa_edge_scores(m, g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * STACK_BYTES
+
+
+def test_small_rows_of_a_dense_graph_are_chunked_by_their_values():
+    """2000 two-node rows of the complete 64-node graph in one forward_rows
+    call: each row's stack is 2 x 2, but its csr_values span all 4096
+    stored entries, so a chunk of 2 x 2 stacks within STACK_BYTES alone
+    would hold 2000 rows of values, 65 MB. Chunks bound the values too."""
+    m = MODELS["gcn"]()
+    g = complete_graph(64, seed=29)
+    kept = np.eye(2000, g.num_undirected_edges, dtype=bool)
+    weights, nodes = subgraph_rows(g, kept)
+    tracemalloc.start()
+    try:
+        forward_rows(m, g, weights, nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,6 @@ from edgelens import (
     InvalidSelectionError,
     UndefinedMetricError,
     brute_force_best_subgraph,
-    edge_set_importance,
     explain,
     fidelity_minus,
     fidelity_plus,
@@ -22,62 +21,54 @@ from edgelens import (
     rank_edges,
     sa_edge_scores,
 )
-from edgelens.explain import _l1_distance, explanation_to_json
+from edgelens import compare_methods, fidelity_curve, models
+from edgelens.data import DatasetRecord
+from edgelens.explain import explanation_to_json
 from edgelens.models import ForwardCounter, forward
 
-from conftest import random_graph, random_model, reweighted
+from conftest import one_edge_drops, random_graph, random_model, reweighted
 
 
 class TestImportanceExactness:
     def test_slope_times_distance_is_forward_difference(self):
-        # score * |A - A_base|_1 must reproduce the raw probability
-        # difference to machine precision
+        # score_e * 2 w_e must reproduce p(G) - p(G with w_e = 0) to
+        # machine precision, for fractional weights too
         rng = np.random.default_rng(20)
         for _ in range(100):
             g = random_graph(rng)
+            w = rng.uniform(0.05, 1.0, size=g.num_undirected_edges)
+            g = Graph(g.features, g.edge_u, g.edge_v, w)
             m = random_model(rng)
-            mcount = g.num_undirected_edges
-            size = int(rng.integers(1, mcount + 1))
-            edges = sorted(int(e) for e in rng.choice(mcount, size=size, replace=False))
             c = int(rng.integers(0, 2))
-            score = edge_set_importance(m, g, edges, c)
-            denom = _l1_distance(g, edges)
-            p_full = forward(m, g).probabilities[c]
-            p_base = forward(m, g, weights=reweighted(g, edges, 0.0)).probabilities[c]
-            assert abs(score * denom - (p_full - p_base)) < 1e-12
+            score = linear_gradient_scores(m, g, c).values
+            np.testing.assert_allclose(score * 2.0 * w, one_edge_drops(m, g, c), rtol=0, atol=1e-12)
 
     def test_single_unit_edge_denominator_is_two(self, path3, small_model):
-        score = edge_set_importance(small_model, path3, [0], 0)
+        score = linear_gradient_scores(small_model, path3, 0).values[0]
         p_full = forward(small_model, path3).probabilities[0]
         p_base = forward(small_model, path3, weights=reweighted(path3, [0], 0.0)).probabilities[0]
         assert score == (p_full - p_base) / 2.0
 
-    def test_l1_counts_both_directions(self, path3):
-        assert _l1_distance(path3, [0]) == 2.0
-        assert _l1_distance(path3, [0, 1]) == 4.0
-        g = Graph.undirected(np.ones((2, 1)), [(0, 1, 0.25)])
-        assert _l1_distance(g, [0]) == 0.5
+    def test_l1_counts_both_directions(self, small_model):
+        # an edge of weight 0.25 is 0.25 away from its base point in each
+        # direction of the adjacency
+        g = Graph.undirected(np.ones((2, 2)), [(0, 1, 0.25)])
+        score = linear_gradient_scores(small_model, g, 0).values[0]
+        p_full = forward(small_model, g).probabilities[0]
+        p_base = forward(small_model, g, weights=[0.0]).probabilities[0]
+        assert score == (p_full - p_base) / 0.5
 
     def test_zero_weight_edge_scores_zero(self, small_model):
         g = Graph.undirected(np.ones((3, 2)), [(0, 1, 0.0), (1, 2)])
-        assert edge_set_importance(small_model, g, [0], 0) == 0.0
-
-    def test_empty_set_rejected(self, path3, small_model):
-        with pytest.raises(UndefinedMetricError):
-            edge_set_importance(small_model, path3, [], 0)
-
-    @pytest.mark.parametrize("edges", [[2], [0, -1]])
-    def test_unknown_edge_rejected(self, path3, small_model, edges):
-        with pytest.raises(InvalidSelectionError, match="unknown edge"):
-            edge_set_importance(small_model, path3, edges, 0)
+        assert linear_gradient_scores(small_model, g, 0).values[0] == 0.0
 
 
 class TestLinearGradientScores:
     def test_matches_per_edge_calls(self, small_model):
         g = random_graph(np.random.default_rng(21), feature_dim=2)
         scores = linear_gradient_scores(small_model, g, 1)
-        for e in range(g.num_undirected_edges):
-            assert scores.values[e] == edge_set_importance(small_model, g, [e], 1)
+        want = one_edge_drops(small_model, g, 1) / (2.0 * g.edge_weight)
+        np.testing.assert_array_equal(scores.values, want)
 
     def test_uses_exactly_edges_plus_one_forwards(self, small_model):
         g = random_graph(np.random.default_rng(22), feature_dim=2)
@@ -247,7 +238,6 @@ CLASS_ENTRY_POINTS = {
     "fidelity_plus": lambda m, g, c: fidelity_plus(m, g, [0], c),
     "fidelity_minus": lambda m, g, c: fidelity_minus(m, g, [0], c),
     "overall_fidelity": lambda m, g, c: overall_fidelity(m, g, [0], c),
-    "edge_set_importance": lambda m, g, c: edge_set_importance(m, g, [0], c),
     "linear_search": lambda m, g, c: linear_search(m, g, (1, 0), c),
     "brute_force_best_subgraph": lambda m, g, c: brute_force_best_subgraph(m, g, c),
     "explain": lambda m, g, c: explain(m, g, target_class=c),
@@ -269,6 +259,40 @@ class TestTargetClass:
         if isinstance(want, EdgeScores):
             got, want = (got.values, got.target_class), (want.values, want.target_class)
         assert repr(got) == repr(want)
+
+
+# Every entry point that takes a method or a k_range, with a bad one.
+BAD_CHOICES = {
+    "explain-method": (lambda m, g, ds: explain(m, g, method="bogus"), "method"),
+    "explain-k_range": (lambda m, g, ds: explain(m, g, k_range="bogus"), "k_range"),
+    "linear_search-k_range": (
+        lambda m, g, ds: linear_search(m, g, tuple(range(g.num_undirected_edges)), 0, "bogus"),
+        "k_range",
+    ),
+    "compare_methods-method": (
+        lambda m, g, ds: compare_methods(m, ds, methods=("sa", "bogus")), "method"
+    ),
+    "compare_methods-k_range": (lambda m, g, ds: compare_methods(m, ds, k_range="bogus"), "k_range"),
+    "fidelity_curve-method": (lambda m, g, ds: fidelity_curve(m, ds, "bogus", [0.5]), "method"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CHOICES))
+def test_bad_method_or_k_range_fails_before_any_pass(name, small_model, monkeypatch):
+    g = random_graph(np.random.default_rng(36), max_extra_edges=4, feature_dim=2)
+    dataset = [DatasetRecord(g, 0, (0,) * g.num_undirected_edges, 0)] * 2
+    passes = []
+    run_pass = models.forward_dense
+
+    def counted(*args):
+        passes.append(1)
+        return run_pass(*args)
+
+    monkeypatch.setattr(models, "forward_dense", counted)
+    run, option = BAD_CHOICES[name]
+    with pytest.raises(ValueError, match=f"^unknown {option} 'bogus'$"):
+        run(small_model, g, dataset)
+    assert passes == []
 
 
 class TestFidelityInput:
@@ -299,10 +323,7 @@ class TestBaselines:
             g = random_graph(rng, feature_dim=2)
             ig = ig_edge_scores(small_model, g, 0, steps=1).values
             lg = linear_gradient_scores(small_model, g, 0).values
-            denoms = np.array(
-                [_l1_distance(g, [e]) for e in range(g.num_undirected_edges)]
-            )
-            np.testing.assert_allclose(ig, lg * denoms, atol=1e-12)
+            np.testing.assert_allclose(ig, lg * 2.0 * g.edge_weight, atol=1e-12)
 
     def test_ig_converges_with_steps(self, small_model):
         # 50-step path sum should sit close to a 1000-step reference

@@ -1,8 +1,9 @@
-"""Checks on how the package is loaded and traced.
+"""Checks on how the package is loaded, traced and documented.
 
 The benchmark traces library functions by name: each name in the TRACED
 list of benchmarks/run.py must still resolve in edgelens, so a deleted or
-renamed function fails here and not only when the benchmark runs. And
+renamed function fails here and not only when the benchmark runs. The
+README names library functions and tests the same way. And
 `import edgelens` loads only what the library runs, which every process
 pays for in start-up time and peak memory."""
 
@@ -10,13 +11,15 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import edgelens
 
-RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "benchmarks" / "run.py"
 
 
 def traced_names() -> list[tuple[str, str]]:
@@ -55,3 +58,28 @@ def test_import_loads_neither_scipy_stats_nor_click():
     loaded = json.loads(result.stdout)
     assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
     assert [m for m in loaded if m == "click" or m.startswith("click.")] == []
+
+
+def test_readme_names_resolve():
+    """Each backticked `models.name` (or explain., graphs., training.,
+    evaluate., data.) in README.md resolves in edgelens, and each
+    backticked `test_name` is a test defined under tests/."""
+    readme = (ROOT / "README.md").read_text()
+    dotted = set(
+        re.findall(r"`(models|explain|graphs|training|evaluate|data)\.([A-Za-z_]\w*)", readme)
+    )
+    tests = set(re.findall(r"`(test_\w+)", readme))
+    assert dotted and tests
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(dotted)
+        if not hasattr(importlib.import_module(f"edgelens.{module}"), name)
+    ]
+    defined = {
+        node.name
+        for path in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert missing == []
+    assert sorted(tests - defined) == []
