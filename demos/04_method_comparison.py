@@ -7,14 +7,16 @@ quality. An exhaustive oracle over all edge subsets bounds what any
 ranking could have achieved.
 """
 
+from dataclasses import asdict
+
 from edgelens import compare_methods, gen_varsize_motifs, init_gcn, oracle_report
-from edgelens.evaluate import format_table, summaries_to_obj
+from edgelens.evaluate import format_table
 
 dataset = gen_varsize_motifs(12, base_nodes=6, seed=5)
 model = init_gcn(input_dim=10, num_layers=2, hidden_dim=16, num_classes=2, seed=4)
 
 summaries = compare_methods(model, dataset, ["linear-gradient", "sa", "ig"])
-print(format_table(summaries_to_obj(summaries)), end="")
+print(format_table([asdict(s) for s in summaries]), end="")
 
 print()
 report = oracle_report(model, dataset, cap=14)

@@ -60,7 +60,6 @@ from .graphs import (
     sparsity,
 )
 from .models import (
-    ForwardCounter,
     ModelSpec,
     Prediction,
     forward,

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 usage error (click's default), 3 data error,
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -125,14 +126,10 @@ def evaluate_cmd(model_path, dataset_path, methods, levels, k_range, out_path):
         m = load_model(model_path)
         dataset = data_mod.load_dataset(dataset_path)
         curves = {
-            method: eval_mod.curve_to_obj(
-                eval_mod.fidelity_curve(m, dataset, method, levels)
-            )
+            method: [asdict(p) for p in eval_mod.fidelity_curve(m, dataset, method, levels)]
             for method in methods
         }
-        comparison = eval_mod.summaries_to_obj(
-            eval_mod.compare_methods(m, dataset, methods, k_range)
-        )
+        comparison = [asdict(s) for s in eval_mod.compare_methods(m, dataset, methods, k_range)]
         eval_mod.write_report({"curves": curves, "comparison": comparison}, out_path)
         click.echo(eval_mod.format_table(comparison), nl=False)
 
@@ -151,7 +148,7 @@ def oracle_cmd(model_path, dataset_path, cap, out_path):
         m = load_model(model_path)
         dataset = data_mod.load_dataset(dataset_path)
         report = eval_mod.oracle_report(m, dataset, cap=cap)
-        eval_mod.write_report(eval_mod.oracle_report_to_obj(report), out_path)
+        eval_mod.write_report(asdict(report), out_path)
         click.echo(
             f"evaluated={report.n_evaluated} skipped={report.n_skipped} "
             f"mean_gap={report.mean_gap:.6f} max_gap={report.max_gap:.6f} "

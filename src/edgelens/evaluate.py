@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def fidelity_curve(
         c = original.predicted_class
         ranked = rank_edges(score_edges(m, g, c, method, original=original))
         sizes = [math.ceil((1.0 - level) * g.num_undirected_edges) for level in levels]
-        plus, minus = _prefix_drops(m, g, ranked, sizes, c, None, original)
+        plus, minus = _prefix_drops(m, g, ranked, sizes, c, original)
         per_graph.append((plus.tolist(), minus.tolist()))
     count = len(per_graph)
     if count == 0:
@@ -180,18 +180,6 @@ def export_dot(g: Graph, explanation: Explanation | None, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
-
-
-def curve_to_obj(points) -> list[dict]:
-    return [asdict(p) for p in points]
-
-
-def summaries_to_obj(summaries) -> list[dict]:
-    return [asdict(s) for s in summaries]
-
-
-def oracle_report_to_obj(r: OracleReport) -> dict:
-    return asdict(r)
 
 
 def format_table(rows: list[dict]) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
 from .graphs import Graph, InducedSubgraph, edge_mask, induce_by_edges, sparsity
 from .models import (
     STACK_BYTES,
-    ForwardCounter,
     ModelSpec,
     Prediction,
     forward,
@@ -34,17 +33,15 @@ from .models import (
 METHODS = ("linear-gradient", "sa", "ig")
 K_RANGES = ("full", "paper")
 
-# Edge subsets the brute-force oracle evaluates per batch (two rows each).
-_SUBSET_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class EdgeScores:
-    """One importance score per undirected edge for a target class."""
+    """One importance score per undirected edge for a target class, and the
+    forward passes the scorer ran to get them."""
 
     values: np.ndarray
     target_class: int
-    method: str
+    passes: int = 0  # 0 for scores made outside this module
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -65,7 +62,7 @@ class Explanation:
     sparsity: float
     target_class: int
     method: str | None  # None when linear_search is called directly
-    forward_passes_used: int
+    forward_passes_used: int  # rows evaluated, one forward pass each
 
 
 def _target(m: ModelSpec, target_class) -> int:
@@ -89,7 +86,7 @@ def _check_choice(kind: str, value, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {kind} {value!r}")
 
 
-def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarray:
+def _probabilities(m, g, num_rows, make_rows, target_class) -> np.ndarray:
     """Target-class probability of rows 0 .. num_rows - 1, where
     make_rows(lo, hi) gives the forward_rows input of rows lo .. hi - 1.
 
@@ -100,11 +97,11 @@ def _probabilities(m, g, num_rows, make_rows, target_class, counter) -> np.ndarr
     out = np.empty(num_rows)
     for lo in range(0, num_rows, step):
         hi = min(lo + step, num_rows)
-        out[lo:hi] = forward_rows(m, g, *make_rows(lo, hi), counter)[1][:, target_class]
+        out[lo:hi] = forward_rows(m, g, *make_rows(lo, hi))[1][:, target_class]
     return out
 
 
-def _one_edge_moved(m, g, bases, base_of, edges, values, target_class, counter) -> np.ndarray:
+def _one_edge_moved(m, g, bases, base_of, edges, values, target_class) -> np.ndarray:
     """Target-class probability of g with its edges carrying row base_of[i]
     of the (k, E) `bases` but for edge edges[i], moved to values[i], or for
     none when edges[i] is negative: one pass per entry of `edges`."""
@@ -115,14 +112,13 @@ def _one_edge_moved(m, g, bases, base_of, edges, values, target_class, counter) 
         weights[moved, edges[lo + moved]] = values[lo + moved]
         return weights, np.ones((hi - lo, g.n), dtype=bool)
 
-    return _probabilities(m, g, len(edges), rows, target_class, counter)
+    return _probabilities(m, g, len(edges), rows, target_class)
 
 
 def linear_gradient_scores(
     m: ModelSpec,
     g: Graph,
     target_class: int,
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> EdgeScores:
     """Per-edge importance: the slope (p(G) - p(G with w_e = 0)) / 2 w_e of
@@ -132,19 +128,21 @@ def linear_gradient_scores(
     0. Exactly |E| forwards plus one for the original prediction when it is
     not supplied."""
     target_class = _target(m, target_class)
-    if original is None:
-        original = forward(m, g, counter)
     num_edges = g.num_undirected_edges
+    passes = num_edges
+    if original is None:
+        original = forward(m, g)
+        passes += 1
     edges = np.arange(num_edges)
     base_of = np.zeros(num_edges, dtype=np.intp)
     at_base = _one_edge_moved(
-        m, g, g.edge_weight[None], base_of, edges, np.zeros(num_edges), target_class, counter
+        m, g, g.edge_weight[None], base_of, edges, np.zeros(num_edges), target_class
     )
     denom = 2.0 * g.edge_weight
     moved = denom != 0.0
     values = np.zeros(num_edges)
     values[moved] = (original.probabilities[target_class] - at_base[moved]) / denom[moved]
-    return EdgeScores(values=values, target_class=target_class, method="linear-gradient")
+    return EdgeScores(values=values, target_class=target_class, passes=passes)
 
 
 def sa_edge_scores(
@@ -152,7 +150,6 @@ def sa_edge_scores(
     g: Graph,
     target_class: int,
     h: float = 1e-3,
-    counter: ForwardCounter | None = None,
 ) -> EdgeScores:
     """Local-sensitivity baseline: absolute central finite difference of the
     class probability w.r.t. each edge weight, both directions moved
@@ -169,9 +166,9 @@ def sa_edge_scores(
     edges = np.repeat(np.arange(g.num_undirected_edges), 2)
     probes = np.stack((hi, lo), axis=1).ravel()
     base_of = np.zeros(len(edges), dtype=np.intp)
-    p = _one_edge_moved(m, g, w[None], base_of, edges, probes, target_class, counter)
+    p = _one_edge_moved(m, g, w[None], base_of, edges, probes, target_class)
     values = np.abs(p[0::2] - p[1::2]) / (hi - lo)
-    return EdgeScores(values=values, target_class=target_class, method="sa-fd")
+    return EdgeScores(values=values, target_class=target_class, passes=len(edges))
 
 
 def ig_edge_scores(
@@ -179,7 +176,6 @@ def ig_edge_scores(
     g: Graph,
     target_class: int,
     steps: int = 50,
-    counter: ForwardCounter | None = None,
 ) -> EdgeScores:
     """Path-integral baseline along the straight line from the all-edges-at-0
     adjacency to the graph, all edges moved jointly.
@@ -202,11 +198,11 @@ def ig_edge_scores(
     base_of = np.repeat(np.arange(steps), block)
     edges = np.tile(np.arange(-1, num_edges), steps)
     pulled = np.concatenate((np.full((steps, 1), np.nan), path[:-1]), axis=1).ravel()
-    p = _one_edge_moved(m, g, path[1:], base_of, edges, pulled, target_class, counter)
+    p = _one_edge_moved(m, g, path[1:], base_of, edges, pulled, target_class)
     values = np.zeros(num_edges)
     for step in p.reshape(steps, block):
         values += step[0] - step[1:]
-    return EdgeScores(values=values, target_class=target_class, method="ig-fd")
+    return EdgeScores(values=values, target_class=target_class, passes=len(edges))
 
 
 def score_edges(
@@ -214,7 +210,6 @@ def score_edges(
     g: Graph,
     target_class: int,
     method: str,
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> EdgeScores:
     """Edge scores by one of METHODS.
@@ -224,10 +219,10 @@ def score_edges(
     """
     _check_choice("method", method, METHODS)
     if method == "linear-gradient":
-        return linear_gradient_scores(m, g, target_class, counter, original)
+        return linear_gradient_scores(m, g, target_class, original)
     if method == "sa":
-        return sa_edge_scores(m, g, target_class, counter=counter)
-    return ig_edge_scores(m, g, target_class, counter=counter)
+        return sa_edge_scores(m, g, target_class)
+    return ig_edge_scores(m, g, target_class)
 
 
 def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
@@ -242,7 +237,6 @@ def _drops(
     num_rows: int,
     make_kept,
     target_class: int,
-    counter: ForwardCounter | None,
     original: Prediction,
 ) -> np.ndarray:
     """Probability drop from the graph to the standalone graph of the edges
@@ -252,11 +246,11 @@ def _drops(
     def rows(lo, hi):
         return subgraph_rows(g, make_kept(lo, hi))
 
-    p = _probabilities(m, g, num_rows, rows, target_class, counter)
+    p = _probabilities(m, g, num_rows, rows, target_class)
     return original.probabilities[target_class] - p
 
 
-def _pair_drops(m, g, num_sets, chosen, target_class, counter, original):
+def _pair_drops(m, g, num_sets, chosen, target_class, original):
     """fidelity_plus and fidelity_minus of edge sets 0 .. num_sets - 1,
     where chosen(i) gives the boolean (len(i), E) rows of the sets i. Rows
     2i and 2i + 1 keep the complement of set i and set i."""
@@ -265,19 +259,17 @@ def _pair_drops(m, g, num_sets, chosen, target_class, counter, original):
         r = np.arange(lo, hi)
         return chosen(r // 2) ^ (r % 2 == 0)[:, None]
 
-    drops = _drops(m, g, 2 * num_sets, kept, target_class, counter, original)
+    drops = _drops(m, g, 2 * num_sets, kept, target_class, original)
     return drops[0::2], drops[1::2]
 
 
-def _prefix_drops(m, g, ranked, sizes, target_class, counter, original):
+def _prefix_drops(m, g, ranked, sizes, target_class, original):
     """fidelity_plus and fidelity_minus of the prefixes of `ranked` (a
     permutation of all edges) of the given sizes, one pair of passes each."""
     rank = np.empty(g.num_undirected_edges, dtype=np.int64)
     rank[list(ranked)] = np.arange(g.num_undirected_edges)
     sizes = np.asarray(sizes, dtype=np.int64)
-    return _pair_drops(
-        m, g, len(sizes), lambda i: rank < sizes[i, None], target_class, counter, original
-    )
+    return _pair_drops(m, g, len(sizes), lambda i: rank < sizes[i, None], target_class, original)
 
 
 def fidelity_plus(
@@ -285,7 +277,6 @@ def fidelity_plus(
     g: Graph,
     edges,
     target_class: int,
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
     """Probability drop when the selected edges are removed: the remainder
@@ -293,8 +284,8 @@ def fidelity_plus(
     target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if original is None:
-        original = forward(m, g, counter)
-    drops = _drops(m, g, 1, lambda lo, hi: ~selected[None], target_class, counter, original)
+        original = forward(m, g)
+    drops = _drops(m, g, 1, lambda lo, hi: ~selected[None], target_class, original)
     return float(drops[0])
 
 
@@ -303,15 +294,14 @@ def fidelity_minus(
     g: Graph,
     edges,
     target_class: int,
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
     """Probability drop when only the selected edges are kept."""
     target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if original is None:
-        original = forward(m, g, counter)
-    drops = _drops(m, g, 1, lambda lo, hi: selected[None], target_class, counter, original)
+        original = forward(m, g)
+    drops = _drops(m, g, 1, lambda lo, hi: selected[None], target_class, original)
     return float(drops[0])
 
 
@@ -320,16 +310,15 @@ def overall_fidelity(
     g: Graph,
     edges,
     target_class: int,
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
 ) -> float:
     """fidelity_plus minus fidelity_minus of the selected edges."""
     target_class = _target(m, target_class)
     selected = edge_mask(g, edges)
     if original is None:
-        original = forward(m, g, counter)
+        original = forward(m, g)
     sets = selected[None]
-    plus, minus = _pair_drops(m, g, 1, lambda i: sets[i], target_class, counter, original)
+    plus, minus = _pair_drops(m, g, 1, lambda i: sets[i], target_class, original)
     return float(plus[0] - minus[0])
 
 
@@ -347,26 +336,28 @@ def linear_search(
     ranked: tuple[int, ...],
     target_class: int,
     k_range: str = "full",
-    counter: ForwardCounter | None = None,
     original: Prediction | None = None,
-    scores: np.ndarray | None = None,
-    method: str | None = None,
 ) -> Explanation:
     """Evaluate the ranked-prefix subgraphs and keep the overall-fidelity
-    maximizer; ties resolve to the smallest prefix."""
+    maximizer; ties resolve to the smallest prefix. Two forwards per
+    candidate prefix, plus one for the original prediction when it is not
+    supplied."""
     target_class = _target(m, target_class)
     _check_choice("k_range", k_range, K_RANGES)
     num_edges = g.num_undirected_edges
     if num_edges < 1:
         raise UndefinedMetricError("cannot search a graph without edges")
+    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in ranked):
+        raise ValueError("ranked must hold integer edge indices")
+    ranked = tuple(int(e) for e in ranked)
     if sorted(ranked) != list(range(num_edges)):
         raise ValueError("ranked must be a permutation of all undirected edges")
-    if counter is None:
-        counter = ForwardCounter()
-    if original is None:
-        original = forward(m, g, counter)
     ks = _candidate_range(num_edges, k_range)
-    plus, minus = _prefix_drops(m, g, ranked, ks, target_class, counter, original)
+    passes = 2 * len(ks)
+    if original is None:
+        original = forward(m, g)
+        passes += 1
+    plus, minus = _prefix_drops(m, g, ranked, ks, target_class, original)
     best_k = None
     best = (-np.inf, 0.0, 0.0)
     for k, fplus, fminus in zip(ks, plus.tolist(), minus.tolist()):
@@ -376,8 +367,8 @@ def linear_search(
             best_k = k
     sub = induce_by_edges(g, ranked[:best_k])
     return Explanation(
-        ranked_edges=tuple(ranked),
-        scores=scores,
+        ranked_edges=ranked,
+        scores=None,
         chosen_k=best_k,
         subgraph=sub,
         fidelity_plus=best[1],
@@ -385,8 +376,8 @@ def linear_search(
         overall=best[0],
         sparsity=sparsity(sub, g),
         target_class=target_class,
-        method=method,
-        forward_passes_used=counter.count,
+        method=None,
+        forward_passes_used=passes,
     )
 
 
@@ -407,21 +398,15 @@ def explain(
         target_class = _target(m, target_class)
     _check_choice("method", method, METHODS)
     _check_choice("k_range", k_range, K_RANGES)
-    counter = ForwardCounter()
-    original = forward(m, g, counter)
+    original = forward(m, g)
     c = original.predicted_class if auto else target_class
-    scores = score_edges(m, g, c, method, counter, original)
-    ranked = rank_edges(scores)
-    return linear_search(
-        m,
-        g,
-        ranked,
-        c,
-        k_range=k_range,
-        counter=counter,
-        original=original,
+    scores = score_edges(m, g, c, method, original)
+    e = linear_search(m, g, rank_edges(scores), c, k_range, original)
+    return replace(
+        e,
         scores=scores.values,
         method=method,
+        forward_passes_used=1 + scores.passes + e.forward_passes_used,
     )
 
 
@@ -430,7 +415,6 @@ def brute_force_best_subgraph(
     g: Graph,
     target_class: int,
     cap: int = 14,
-    counter: ForwardCounter | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of overall fidelity over every nonempty undirected
     edge subset; ties go to the lexicographically smallest subset. A graph
@@ -441,26 +425,18 @@ def brute_force_best_subgraph(
         raise UndefinedMetricError("cannot enumerate the edge subsets of a graph without edges")
     if num_edges > cap:
         raise EnumerationTooLargeError(f"{num_edges} edges exceeds cap {cap}")
-    original = forward(m, g, counter)
-    best_subset: tuple[int, ...] | None = None
-    best_score = -np.inf
+    original = forward(m, g)
     bits = np.arange(num_edges)
-    # Subsets as the bit patterns 1 .. 2^|E| - 1, a block at a time. The
-    # winner, the lexicographically smallest subset of top score, does not
-    # depend on the order subsets are scored in.
-    for start in range(1, 2**num_edges, _SUBSET_BLOCK):
-        codes = np.arange(start, min(start + _SUBSET_BLOCK, 2**num_edges))
-        chosen = ((codes[:, None] >> bits) & 1).astype(bool)
-        plus, minus = _pair_drops(
-            m, g, len(codes), lambda i: chosen[i], target_class, counter, original
-        )
-        scores = plus - minus
-        score = scores.max()
-        subset = min(tuple(bits[chosen[i]].tolist()) for i in np.flatnonzero(scores == score))
-        if score > best_score or (score == best_score and subset < best_subset):
-            best_score = score
-            best_subset = subset
-    return best_subset, float(best_score)
+
+    def chosen(i):
+        # Set i is the subset of bit pattern i + 1.
+        return (((i[:, None] + 1) >> bits) & 1).astype(bool)
+
+    plus, minus = _pair_drops(m, g, 2**num_edges - 1, chosen, target_class, original)
+    scores = plus - minus
+    best = scores.max()
+    tied = chosen(np.flatnonzero(scores == best))
+    return min(tuple(bits[row].tolist()) for row in tied), float(best)
 
 
 def explanation_to_json(e: Explanation, g: Graph) -> str:

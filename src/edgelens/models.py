@@ -126,16 +126,6 @@ class Prediction:
     predicted_class: int
 
 
-class ForwardCounter:
-    """Counts forward passes within one explanation session."""
-
-    def __init__(self):
-        self.count = 0
-
-    def tick(self):
-        self.count += 1
-
-
 def csr_matmul(
     operator: sp.csr_matrix, h: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -167,7 +157,6 @@ def forward_dense(
     m: ModelSpec,
     operator: np.ndarray | sp.csr_matrix,
     features: np.ndarray,
-    counter: ForwardCounter | None = None,
     kept: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (C,) logits of one full model evaluation phi(A, X) over a prebuilt
@@ -182,8 +171,6 @@ def forward_dense(
     csr_matmul, BLAS products through np.dot rather than the @ operator's
     dispatch. None of it changes a bit (tests/test_engine_parity.py).
     """
-    if counter is not None:
-        counter.tick()
     sparse = not isinstance(operator, np.ndarray)
     h = features
     if m.conv_kind == "gcn":
@@ -335,7 +322,6 @@ def forward_rows(
     g: Graph,
     weights: np.ndarray,
     nodes: np.ndarray,
-    counter: ForwardCounter | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One forward pass per row: row i evaluates the standalone graph of the
     nodes set in row i of the boolean (B, n) `nodes`, its edges carrying
@@ -361,13 +347,13 @@ def forward_rows(
     pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=m.conv_kind == "gcn")
     with np.errstate(over="ignore", invalid="ignore"):
         if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
-            logits = _csr_forward_rows(m, g, pattern, weights, nodes, counter)
+            logits = _csr_forward_rows(m, g, pattern, weights, nodes)
         else:
-            logits = _dense_forward_rows(m, g, pattern, weights, nodes, counter)
+            logits = _dense_forward_rows(m, g, pattern, weights, nodes)
         return logits, softmax_rows(logits)
 
 
-def _dense_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
+def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over each row's kept nodes only: rows grouped by
     node count, each chunk's (b, s, s) operator stack and its (b, nnz)
     csr_values within STACK_BYTES."""
@@ -382,11 +368,11 @@ def _dense_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
             ops = weighted_adjacency(g, pattern, weights[rows], nodes[rows], gcn)
             feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
             for r, op, x in zip(rows.tolist(), ops, feats):
-                out[r] = forward_dense(m, op, x, counter)
+                out[r] = forward_dense(m, op, x)
     return out
 
 
-def _csr_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
+def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over all n nodes of every row: one csr_matrix of
     the pattern, its values swapped in row by row from csr_values chunks of
     at most STACK_BYTES. A dropped node's entries to and from kept nodes
@@ -402,7 +388,7 @@ def _csr_forward_rows(m, g, pattern, weights, nodes, counter) -> np.ndarray:
         values = csr_values(g, pattern, weights[lo : lo + step], kept, gcn)
         for r, (row_values, row_kept) in enumerate(zip(values, kept), lo):
             op.data = row_values
-            out[r] = forward_dense(m, op, g.features, counter, row_kept)
+            out[r] = forward_dense(m, op, g.features, row_kept)
     return out
 
 
@@ -429,7 +415,6 @@ def _prediction(logits: np.ndarray, probs: np.ndarray) -> Prediction:
 def forward(
     m: ModelSpec,
     g: Graph,
-    counter: ForwardCounter | None = None,
     weights: np.ndarray | None = None,
 ) -> Prediction:
     """Forward on g, or on g with its edges re-weighted to the (E,) vector
@@ -443,14 +428,10 @@ def forward(
         )
     rows = np.asarray(weights, dtype=np.float64)[None]
     check_edge_weights(rows)
-    return _prediction(*forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool), counter))
+    return _prediction(*forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool)))
 
 
-def forward_on_induced(
-    m: ModelSpec,
-    s: InducedSubgraph,
-    counter: ForwardCounter | None = None,
-) -> Prediction:
+def forward_on_induced(m: ModelSpec, s: InducedSubgraph) -> Prediction:
     """Forward on the standalone graph built from an induced subgraph; an
     empty subgraph evaluates all parent nodes under a zero adjacency."""
     g = s.parent
@@ -459,9 +440,7 @@ def forward_on_induced(
     nodes[0, list(s.nodes)] = True
     if not s.nodes:
         nodes[:] = True
-    return _prediction(
-        *forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes, counter)
-    )
+    return _prediction(*forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes))
 
 
 def _part_to_obj(part) -> dict:

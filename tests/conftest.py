@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgelens import Graph, forward, init_gcn
+from edgelens import Graph, forward, init_gcn, models
 from edgelens.data import DatasetRecord
 from edgelens.models import (
     Classifier,
@@ -37,6 +37,25 @@ def path4():
 @pytest.fixture
 def small_model():
     return init_gcn(input_dim=2, num_layers=2, hidden_dim=4, num_classes=2, seed=1)
+
+
+@pytest.fixture
+def forward_dense_calls(monkeypatch):
+    """The operator of each models.forward_dense call, one entry per pass,
+    recorded by a wrapper on the module. The wrapper also checks that the
+    model and the operator come first and positionally, as the benchmark's
+    traced check takes them."""
+    calls = []
+    real = models.forward_dense
+
+    def counted(*args, **kwargs):
+        assert len(args) >= 2 and not {"m", "operator"} & kwargs.keys()
+        assert isinstance(args[0], ModelSpec)
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "forward_dense", counted)
+    return calls
 
 
 def reweighted(g, edges, value):

@@ -26,6 +26,7 @@ from edgelens import (
     ig_edge_scores,
     init_gcn,
     linear_gradient_scores,
+    linear_search,
     oracle_report,
     sa_edge_scores,
 )
@@ -216,7 +217,7 @@ def test_dot_is_matmul_in_every_forward_product(kind, d):
     kept = rng.uniform(size=(1, g.n)) < 0.5
     values = models.csr_values(g, pattern, g.edge_weight[None], kept, kind == "gcn")[0]
     op = models.csr_operator(*pattern[:2], values, g.n)
-    got = models.forward_dense(m, op, x, None, kept[0])
+    got = models.forward_dense(m, op, x, kept[0])
     np.testing.assert_array_equal(got, matmul_logits(m, op, x, kept[0]))
 
 
@@ -288,11 +289,13 @@ CLOSED_FORM_PASSES = {
 
 
 @pytest.mark.parametrize("path", ["dense", "csr"])
-def test_forward_dense_runs_the_closed_form_number_of_times(path, monkeypatch):
+def test_forward_dense_runs_the_closed_form_number_of_times(path, forward_dense_calls):
     """The benchmark's traced check, in tier-1: models.forward_dense,
     wrapped on the module, receives (m, operator) positionally and runs
     exactly the closed-form number of times per explanation and per oracle
-    report (explain, its original pass, two per nonempty edge subset)."""
+    report (explain, its original pass, two per nonempty edge subset).
+    Each stage reports the passes it ran: a scorer's EdgeScores.passes and
+    linear_search's forward_passes_used are its counted calls."""
     if path == "dense":
         g = Graph.undirected(
             np.random.default_rng(46).uniform(size=(7, FEATURES)),
@@ -304,28 +307,48 @@ def test_forward_dense_runs_the_closed_form_number_of_times(path, monkeypatch):
         g = Graph.undirected(np.random.default_rng(47).uniform(size=(60, FEATURES)), edges)
     assert takes_csr_path(g) == (path == "csr")
     num_edges = g.num_undirected_edges
-    calls = []
-    real = models.forward_dense
+    calls = forward_dense_calls
+    operator_type = sp.csr_matrix if path == "csr" else np.ndarray
 
-    def counted(*args, **kwargs):
-        assert len(args) >= 2 and not {"m", "operator"} & kwargs.keys()
-        assert isinstance(args[0], models.ModelSpec)
-        assert isinstance(args[1], sp.csr_matrix if path == "csr" else np.ndarray)
-        calls.append(args[1].shape)
-        return real(*args, **kwargs)
+    def ran():
+        """The passes since the last ran(), each checked to get the path's
+        operator (on the CSR path, of the graph's shape)."""
+        for op in calls:
+            assert isinstance(op, operator_type)
+            assert path == "dense" or op.shape == (g.n, g.n)
+        passes = len(calls)
+        calls.clear()
+        return passes
 
-    monkeypatch.setattr(models, "forward_dense", counted)
+    ranked = tuple(range(num_edges))
     for kind in sorted(MODELS):
         m = MODELS[kind]()
         for method, passes in CLOSED_FORM_PASSES.items():
-            calls.clear()
             e = explain(m, g, method=method)
-            assert len(calls) == e.forward_passes_used == passes(num_edges), (kind, method)
-        calls.clear()
+            assert ran() == e.forward_passes_used == passes(num_edges), (kind, method)
+        original = forward(m, g)
+        assert ran() == 1
+        scorers = {
+            "linear-gradient": (lambda: linear_gradient_scores(m, g, 0), num_edges + 1),
+            "linear-gradient given the original": (
+                lambda: linear_gradient_scores(m, g, 0, original),
+                num_edges,
+            ),
+            "sa": (lambda: sa_edge_scores(m, g, 0), 2 * num_edges),
+            "ig": (lambda: ig_edge_scores(m, g, 0, steps=3), 3 * (num_edges + 1)),
+        }
+        for name, (score, passes) in scorers.items():
+            assert score().passes == ran() == passes, (kind, name)
+        # Two passes per candidate prefix: |E| of them, or |E| - 2 for "paper".
+        for k_range, candidates in (("full", num_edges), ("paper", num_edges - 2)):
+            for given, own in ((original, 0), (None, 1)):
+                e = linear_search(m, g, ranked, 0, k_range, given)
+                want = 2 * candidates + own
+                assert ran() == e.forward_passes_used == want, (kind, k_range, own)
+        brute_force_best_subgraph(m, g, 0)
+        assert ran() == 1 + 2 * (2**num_edges - 1), kind
         oracle_report(m, [DatasetRecord(g, 0, (0,) * num_edges, 0)])
-        assert len(calls) == (3 * num_edges + 1) + 1 + 2 * (2**num_edges - 1), kind
-        if path == "csr":
-            assert set(calls) == {(g.n, g.n)}
+        assert ran() == (3 * num_edges + 1) + 1 + 2 * (2**num_edges - 1), kind
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))
@@ -386,11 +409,12 @@ BLOCK_GRAPHS = {
 @pytest.mark.parametrize("kind", sorted(MODELS))
 @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
 def test_brute_force_across_subset_blocks_matches_reference(kind, name, monkeypatch):
-    """Subsets scored 7 at a time: the winner, ties between blocks included,
-    must not depend on the block boundaries."""
-    monkeypatch.setattr(explain_module, "_SUBSET_BLOCK", 7)
+    """Subset rows scored 7 at a time, with the byte bound patched down to 7
+    rows of E weights: the winner, ties split across chunks included, must
+    not depend on the chunk boundaries."""
     m = MODELS[kind]()
     g = Graph.undirected(*BLOCK_GRAPHS[name])
+    monkeypatch.setattr(explain_module, "STACK_BYTES", 8 * g.num_undirected_edges * 7)
     for c in (0, 1):
         assert brute_force_best_subgraph(m, g, c) == loop_brute_force(m, g, c)
 
@@ -593,9 +617,9 @@ def test_dense_graph_builds_rows_a_chunk_at_a_time(kind, monkeypatch):
     monkeypatch.setattr(explain_module, "STACK_BYTES", 8 * g.num_undirected_edges * per_chunk)
     batches = []
 
-    def recorded(m, g, weights, nodes, counter=None):
+    def recorded(m, g, weights, nodes):
         batches.append(len(weights))
-        return forward_rows(m, g, weights, nodes, counter)
+        return forward_rows(m, g, weights, nodes)
 
     monkeypatch.setattr(explain_module, "forward_rows", recorded)
     e = explain(m, g)

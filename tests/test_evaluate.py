@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,12 +18,7 @@ from edgelens import (
     rank_edges,
 )
 from edgelens.data import DatasetRecord
-from edgelens.evaluate import (
-    curve_to_obj,
-    format_table,
-    summaries_to_obj,
-    write_report,
-)
+from edgelens.evaluate import format_table, write_report
 from edgelens.explain import score_edges
 from conftest import gin_model, path_graph, random_graph, random_model
 
@@ -185,8 +181,8 @@ class TestFormatting:
         assert format_table([]) == "(empty)\n"
 
     def test_write_report_round_trip(self, tmp_path, model, mini_dataset):
-        pts = curve_to_obj(fidelity_curve(model, mini_dataset, "sa", [0.5]))
-        comp = summaries_to_obj(compare_methods(model, mini_dataset, ["sa"]))
+        pts = [asdict(p) for p in fidelity_curve(model, mini_dataset, "sa", [0.5])]
+        comp = [asdict(s) for s in compare_methods(model, mini_dataset, ["sa"])]
         path = tmp_path / "r.json"
         write_report({"curves": pts, "comparison": comp}, path)
         back = json.loads(path.read_text())

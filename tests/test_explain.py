@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -20,11 +21,12 @@ from edgelens import (
     overall_fidelity,
     rank_edges,
     sa_edge_scores,
+    save_explanation,
 )
-from edgelens import compare_methods, fidelity_curve, models
+from edgelens import compare_methods, fidelity_curve
 from edgelens.data import DatasetRecord
 from edgelens.explain import explanation_to_json
-from edgelens.models import ForwardCounter, forward
+from edgelens.models import forward
 
 from conftest import one_edge_drops, random_graph, random_model, reweighted
 
@@ -70,11 +72,10 @@ class TestLinearGradientScores:
         want = one_edge_drops(small_model, g, 1) / (2.0 * g.edge_weight)
         np.testing.assert_array_equal(scores.values, want)
 
-    def test_uses_exactly_edges_plus_one_forwards(self, small_model):
+    def test_uses_exactly_edges_plus_one_forwards(self, small_model, forward_dense_calls):
         g = random_graph(np.random.default_rng(22), feature_dim=2)
-        c = ForwardCounter()
-        linear_gradient_scores(small_model, g, 0, counter=c)
-        assert c.count == g.num_undirected_edges + 1
+        scores = linear_gradient_scores(small_model, g, 0)
+        assert len(forward_dense_calls) == scores.passes == g.num_undirected_edges + 1
 
     def test_automorphic_edges_score_equally(self, triangle, small_model):
         # all three edges of a uniform-feature triangle are interchangeable
@@ -89,19 +90,19 @@ class TestLinearGradientScores:
 
 class TestRanking:
     def test_descending_with_index_ties(self):
-        s = EdgeScores(values=np.array([0.3, 0.9, 0.3, -1.0]), target_class=0, method="x")
+        s = EdgeScores(values=np.array([0.3, 0.9, 0.3, -1.0]), target_class=0)
         assert rank_edges(s) == (1, 0, 2, 3)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(23)
         vals = rng.normal(size=12)
-        a = rank_edges(EdgeScores(values=vals, target_class=0, method="x"))
-        b = rank_edges(EdgeScores(values=3.7 * vals, target_class=0, method="x"))
+        a = rank_edges(EdgeScores(values=vals, target_class=0))
+        b = rank_edges(EdgeScores(values=3.7 * vals, target_class=0))
         assert a == b
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            EdgeScores(values=np.array([0.1, np.nan]), target_class=0, method="x")
+            EdgeScores(values=np.array([0.1, np.nan]), target_class=0)
 
 
 class TestFidelity:
@@ -185,6 +186,23 @@ class TestLinearSearch:
         with pytest.raises(ValueError):
             linear_search(small_model, path3, (0, 0), 0)
 
+    def test_rejects_non_integer_ranking(self, triangle, small_model, forward_dense_calls):
+        """Floats equal to a permutation are still not edge indices: a
+        ValueError before any pass, not an IndexError from the search."""
+        with pytest.raises(ValueError, match="integer edge indices"):
+            linear_search(small_model, triangle, (2.0, 1.0, 0.0), 0)
+        assert forward_dense_calls == []
+
+    def test_numpy_ranking_is_stored_as_ints(self, path3, small_model, tmp_path):
+        """An argsort ranking holds np.int64 entries; the explanation holds
+        plain ints, so it serializes."""
+        e = linear_search(small_model, path3, np.argsort([0.1, 0.9])[::-1], 0)
+        assert e.ranked_edges == (1, 0)
+        assert all(type(i) is int for i in e.ranked_edges)
+        save_explanation(e, path3, tmp_path / "e.json")
+        saved = json.loads((tmp_path / "e.json").read_text())
+        assert [r["edge"] for r in saved["ranked_edges"]] == [1, 0]
+
 
 class TestExplain:
     def test_forward_budget(self, small_model):
@@ -210,10 +228,10 @@ class TestExplain:
         assert e.sparsity == 1 - e.chosen_k / g.num_undirected_edges
 
     def test_external_scores(self, path3, small_model):
-        s = EdgeScores(values=np.array([0.1, 0.9]), target_class=0, method="custom")
-        e = linear_search(small_model, path3, rank_edges(s), 0, scores=s.values)
+        s = EdgeScores(values=np.array([0.1, 0.9]), target_class=0)
+        e = linear_search(small_model, path3, rank_edges(s), 0)
         assert e.ranked_edges == (1, 0)
-        assert e.scores is s.values
+        assert e.scores is None
         assert e.method is None
         assert e.forward_passes_used == 1 + 2 * path3.num_undirected_edges
 
@@ -278,21 +296,13 @@ BAD_CHOICES = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_CHOICES))
-def test_bad_method_or_k_range_fails_before_any_pass(name, small_model, monkeypatch):
+def test_bad_method_or_k_range_fails_before_any_pass(name, small_model, forward_dense_calls):
     g = random_graph(np.random.default_rng(36), max_extra_edges=4, feature_dim=2)
     dataset = [DatasetRecord(g, 0, (0,) * g.num_undirected_edges, 0)] * 2
-    passes = []
-    run_pass = models.forward_dense
-
-    def counted(*args):
-        passes.append(1)
-        return run_pass(*args)
-
-    monkeypatch.setattr(models, "forward_dense", counted)
     run, option = BAD_CHOICES[name]
     with pytest.raises(ValueError, match=f"^unknown {option} 'bogus'$"):
         run(small_model, g, dataset)
-    assert passes == []
+    assert forward_dense_calls == []
 
 
 class TestFidelityInput:
@@ -364,14 +374,13 @@ class TestOracle:
         assert score == max(manual.values())
         assert manual[subset] == score
 
-    def test_graph_without_edges_is_undefined(self, small_model):
+    def test_graph_without_edges_is_undefined(self, small_model, forward_dense_calls):
         """No nonempty edge subset exists: a typed error, as linear_search
-        gives, not a (None, -inf) answer."""
+        gives, not a (None, -inf) answer, and no pass runs."""
         g = Graph.undirected(np.ones((3, 2)), [])
-        counter = ForwardCounter()
         with pytest.raises(UndefinedMetricError, match="without edges"):
-            brute_force_best_subgraph(small_model, g, 0, counter=counter)
-        assert counter.count == 0
+            brute_force_best_subgraph(small_model, g, 0)
+        assert forward_dense_calls == []
 
 
 class TestSerialization:

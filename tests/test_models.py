@@ -18,7 +18,6 @@ from edgelens import (
 )
 from edgelens.models import (
     Classifier,
-    ForwardCounter,
     GCNLayer,
     GINLayer,
     model_from_json,
@@ -234,16 +233,6 @@ class TestForwardOnInduced:
         a = forward_on_induced(small_model, s)
         zeroed = forward(small_model, path3, weights=np.zeros(2))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
-
-
-class TestCounter:
-    def test_counts(self, path3, small_model):
-        c = ForwardCounter()
-        assert c.count == 0
-        forward(small_model, path3, c)
-        assert c.count == 1
-        forward(small_model, path3, c)
-        assert c.count == 2
 
 
 class TestModelIO:

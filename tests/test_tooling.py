@@ -3,11 +3,12 @@
 The benchmark traces library functions by name: each name in the TRACED
 list of benchmarks/run.py must still resolve in edgelens, so a deleted or
 renamed function fails here and not only when the benchmark runs. The
-README names library functions and tests the same way. And
+README names library functions, classes and tests the same way. And
 `import edgelens` loads only what the library runs, which every process
 pays for in start-up time and peak memory."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -62,19 +63,27 @@ def test_import_loads_neither_scipy_stats_nor_click():
 
 def test_readme_names_resolve():
     """Each backticked `models.name` (or explain., graphs., training.,
-    evaluate., data.) in README.md resolves in edgelens, and each
-    backticked `test_name` is a test defined under tests/."""
+    evaluate., data.) in README.md resolves in edgelens, each backticked
+    CamelCase name (`ModelSpec`, `DataFormatError`) in an edgelens module or
+    in builtins, and each backticked `test_name` is a test defined under
+    tests/."""
     readme = (ROOT / "README.md").read_text()
     dotted = set(
         re.findall(r"`(models|explain|graphs|training|evaluate|data)\.([A-Za-z_]\w*)", readme)
     )
+    classes = set(re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\b", readme))
     tests = set(re.findall(r"`(test_\w+)", readme))
-    assert dotted and tests
+    assert dotted and classes and tests
     missing = [
         f"{module}.{name}"
         for module, name in sorted(dotted)
         if not hasattr(importlib.import_module(f"edgelens.{module}"), name)
     ]
+    modules = [builtins, edgelens] + [
+        importlib.import_module(f"edgelens.{module}")
+        for module in ("models", "explain", "graphs", "training", "evaluate", "data", "errors")
+    ]
+    missing += [name for name in sorted(classes) if not any(hasattr(m, name) for m in modules)]
     defined = {
         node.name
         for path in (ROOT / "tests").glob("*.py")
