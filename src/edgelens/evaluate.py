@@ -25,7 +25,7 @@ from .explain import (
     rank_edges,
     score_edges,
 )
-from .graphs import Graph
+from .graphs import Graph, is_real
 from .models import ModelSpec, forward
 
 
@@ -46,8 +46,8 @@ def fidelity_curve(
     _check_choice("method", method, METHODS)
     levels = list(levels)
     for level in levels:
-        if not 0.0 <= level <= 1.0:
-            raise ValueError(f"sparsity level {level} outside [0, 1]")
+        if not (is_real(level) and 0.0 <= level <= 1.0):
+            raise ValueError(f"sparsity level {level!r} outside [0, 1]")
     per_graph = []
     for rec in dataset:
         g = rec.graph

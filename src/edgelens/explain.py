@@ -10,7 +10,6 @@ pipeline costs O(|E|) forward passes.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,15 @@ from .errors import (
     InvalidSelectionError,
     UndefinedMetricError,
 )
-from .graphs import Graph, InducedSubgraph, edge_mask, induce_by_edges, sparsity
+from .graphs import (
+    Graph,
+    InducedSubgraph,
+    edge_mask,
+    induce_by_edges,
+    is_integer,
+    is_real,
+    sparsity,
+)
 from .models import (
     STACK_BYTES,
     ModelSpec,
@@ -68,11 +75,7 @@ class Explanation:
 def _target(m: ModelSpec, target_class) -> int:
     """target_class as an int; InvalidSelectionError unless it is an
     integer in [0, m.num_classes)."""
-    if (
-        isinstance(target_class, bool)
-        or not isinstance(target_class, numbers.Integral)
-        or not 0 <= target_class < m.num_classes
-    ):
+    if not is_integer(target_class) or not 0 <= target_class < m.num_classes:
         raise InvalidSelectionError(
             f"target class {target_class!r} is not an integer in [0, {m.num_classes})"
         )
@@ -155,7 +158,7 @@ def sa_edge_scores(
     class probability w.r.t. each edge weight, both directions moved
     together, probe points clamped to [0, 1]."""
     target_class = _target(m, target_class)
-    if not (np.isfinite(h) and h > 0):
+    if not (is_real(h) and np.isfinite(h) and h > 0):
         raise ValueError(f"step h={h!r} must be finite and > 0")
     w = g.edge_weight
     hi = np.minimum(1.0, w + h)
@@ -188,6 +191,8 @@ def ig_edge_scores(
     are summed in step order.
     """
     target_class = _target(m, target_class)
+    if not is_integer(steps):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     num_edges = g.num_undirected_edges
@@ -347,7 +352,7 @@ def linear_search(
     num_edges = g.num_undirected_edges
     if num_edges < 1:
         raise UndefinedMetricError("cannot search a graph without edges")
-    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in ranked):
+    if not all(is_integer(e) for e in ranked):
         raise ValueError("ranked must hold integer edge indices")
     ranked = tuple(int(e) for e in ranked)
     if sorted(ranked) != list(range(num_edges)):

@@ -9,6 +9,7 @@ forward engine writes both directions of the adjacency from the arrays.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,26 +141,36 @@ class InducedSubgraph:
         return len(self.edges)
 
 
-def _check_nodes(g: Graph, vs: Iterable[int]) -> frozenset[int]:
-    vs = frozenset(int(v) for v in vs)
-    bad = [v for v in vs if not 0 <= v < g.n]
-    if bad:
-        raise InvalidSelectionError(f"unknown node ids {sorted(bad)}")
-    return vs
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float, a
+    string or anything else, whatever value it would convert to."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_edges(g: Graph, es: Iterable[int]) -> frozenset[int]:
-    es = frozenset(int(e) for e in es)
-    bad = [e for e in es if not 0 <= e < g.num_undirected_edges]
+def is_real(value) -> bool:
+    """True for an int, a float or a numpy integer or float; False for a
+    bool, a string or anything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_ids(ids: Iterable[int], count: int, what: str) -> frozenset[int]:
+    """The ids as a frozenset of ints; InvalidSelectionError for an id that
+    is not an integer or not in [0, count)."""
+    ids = list(ids)
+    wrong = [i for i in ids if not is_integer(i)]
+    if wrong:
+        raise InvalidSelectionError(f"{what} must be integers, got {wrong!r}")
+    ids = frozenset(int(i) for i in ids)
+    bad = [i for i in ids if not 0 <= i < count]
     if bad:
-        raise InvalidSelectionError(f"unknown edge indices {sorted(bad)}")
-    return es
+        raise InvalidSelectionError(f"unknown {what} {sorted(bad)}")
+    return ids
 
 
 def edge_mask(g: Graph, es: Iterable[int]) -> np.ndarray:
     """Boolean (E,) mask of the undirected edges in es."""
     mask = np.zeros(g.num_undirected_edges, dtype=bool)
-    mask[list(_check_edges(g, es))] = True
+    mask[list(_check_ids(es, g.num_undirected_edges, "edge indices"))] = True
     return mask
 
 
@@ -235,8 +246,8 @@ def induce_by_nodes_and_edges(
     g: Graph, vs: Iterable[int], es: Iterable[int]
 ) -> InducedSubgraph:
     """Union technique: nodes = vs + endpoints(es), edges = es + internal(vs)."""
-    vs = _check_nodes(g, vs)
-    es = _check_edges(g, es)
+    vs = _check_ids(vs, g.n, "node ids")
+    es = _check_ids(es, g.num_undirected_edges, "edge indices")
     return _build(g, vs | _endpoints(g, es), es | _internal_edges(g, vs))
 
 

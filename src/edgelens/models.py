@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs
 
 from .errors import DataFormatError, ModelFormatError, NumericalFailureError
 from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask
+
+# scipy.sparse, about 300 modules, is imported inside the code that builds
+# or multiplies a CSR operator (csr_operator, csr_matmul and the trainer's
+# batch): a process that stays on the dense path never loads it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -135,6 +139,10 @@ def csr_matmul(
     entry at a time, in stored order. A given `out`, a C-contiguous float64
     array of the result's shape, is overwritten and returned instead of a
     new array."""
+    # `import a.b as c` of a loaded module costs about 0.25 µs here, a
+    # `from a import b` about 0.8 µs.
+    import scipy.sparse._sparsetools as sparsetools
+
     n, d = h.shape
     if out is None:
         out = np.zeros((operator.shape[0], d))
@@ -146,7 +154,7 @@ def csr_matmul(
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     else:
         out.fill(0.0)
-    csr_matvecs(
+    sparsetools.csr_matvecs(
         operator.shape[0], n, d, operator.indptr, operator.indices, operator.data,
         h.ravel(), out.ravel(),
     )
@@ -248,6 +256,8 @@ def csr_operator(
 ) -> sp.csr_matrix:
     """The (n, n) csr_matrix holding `values` at the csr_pattern entries
     (`rows`, `cols`)."""
+    import scipy.sparse as sp
+
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return sp.csr_matrix((values, cols, indptr), shape=(n, n))

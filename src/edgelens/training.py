@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataFormatError, NumericalFailureError
 from .graphs import Graph
@@ -222,6 +221,8 @@ class _Batch:
     """
 
     def __init__(self, dataset, m: ModelSpec):
+        import scipy.sparse as sp
+
         graphs = [rec.graph for rec in dataset]
         sizes = np.array([g.n for g in graphs])
         offsets = np.cumsum(sizes) - sizes

@@ -64,6 +64,12 @@ class TestFidelityCurve:
         with pytest.raises(ValueError):
             fidelity_curve(model, mini_dataset, "linear-gradient", [1.5])
 
+    @pytest.mark.parametrize("level", ["0.5", None, True])
+    def test_rejects_non_numeric_level(self, model, mini_dataset, forward_dense_calls, level):
+        with pytest.raises(ValueError, match="sparsity level .* outside"):
+            fidelity_curve(model, mini_dataset, "linear-gradient", [0.5, level])
+        assert forward_dense_calls == []
+
     def test_rejects_unknown_method(self, model, mini_dataset):
         with pytest.raises(ValueError):
             fidelity_curve(model, mini_dataset, "magic", [0.5])

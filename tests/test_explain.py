@@ -311,6 +311,13 @@ class TestFidelityInput:
             with pytest.raises(InvalidSelectionError):
                 fidelity(small_model, path3, [0, 2], 0)
 
+    def test_non_integer_edges_rejected(self, path3, small_model, forward_dense_calls):
+        # [0.5] is not edge 0.
+        for fidelity in (fidelity_plus, fidelity_minus):
+            with pytest.raises(InvalidSelectionError, match="must be integers"):
+                fidelity(small_model, path3, [0.5], 0)
+        assert forward_dense_calls == []
+
 
 class TestBaselines:
     def test_sa_nonnegative(self, small_model):
@@ -352,6 +359,19 @@ class TestBaselines:
     def test_ig_rejects_zero_steps(self, path3, small_model):
         with pytest.raises(ValueError):
             ig_edge_scores(small_model, path3, 0, steps=0)
+
+    @pytest.mark.parametrize("steps", [2.5, "3", True, None])
+    def test_ig_rejects_non_integer_steps(self, path3, small_model, forward_dense_calls, steps):
+        # True would run one step, 2.5 and "3" raised a bare TypeError.
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            ig_edge_scores(small_model, path3, 0, steps=steps)
+        assert forward_dense_calls == []
+
+    @pytest.mark.parametrize("h", ["x", True, None])
+    def test_sa_rejects_non_numeric_step(self, path3, small_model, forward_dense_calls, h):
+        with pytest.raises(ValueError, match="step h"):
+            sa_edge_scores(small_model, path3, 0, h=h)
+        assert forward_dense_calls == []
 
 
 class TestOracle:

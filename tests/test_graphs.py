@@ -62,6 +62,16 @@ class TestInduceByNodes:
         with pytest.raises(InvalidSelectionError):
             induce_by_nodes(path3, {0, 9})
 
+    def test_non_integer_nodes_rejected(self, path3):
+        # int() would make these nodes (1, 2) and 1: a selection of
+        # non-integers is an error, not a truncated selection.
+        for vs in ([True, 2.5], [1.0], ["1"], [np.bool_(True)]):
+            with pytest.raises(InvalidSelectionError, match="node ids must be integers"):
+                induce_by_nodes(path3, vs)
+
+    def test_numpy_integer_nodes_accepted(self, path3):
+        assert induce_by_nodes(path3, np.array([0, 1])).edges == (0,)
+
 
 class TestInduceByEdges:
     def test_single_edge(self, triangle):
@@ -83,6 +93,12 @@ class TestInduceByEdges:
     def test_unknown_edge_rejected(self, triangle):
         with pytest.raises(InvalidSelectionError):
             induce_by_edges(triangle, {5})
+
+    def test_non_integer_edges_rejected(self, triangle):
+        # int() would make [0.0, 1.5] the edges (0, 1) and "2" the edge 2.
+        for es in ([0.0, 1.5], ["2"], [False]):
+            with pytest.raises(InvalidSelectionError, match="edge indices must be integers"):
+                induce_by_edges(triangle, es)
 
 
 class TestInduceByNodesAndEdges:

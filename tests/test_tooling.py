@@ -44,21 +44,68 @@ def test_every_traced_function_resolves():
         )
 
 
-def test_import_loads_neither_scipy_stats_nor_click():
-    """scipy.stats alone doubles the import's time and memory, and click is
-    for the command line only. A fresh interpreter, so modules the test
-    session already loaded do not count."""
+def fresh_python(code: str) -> str:
+    """The stdout of `code` run by a fresh interpreter on this checkout's
+    edgelens, so modules the test session already loaded do not count."""
     src = Path(edgelens.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, json, edgelens; print(json.dumps(sorted(sys.modules)))"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
+    ).stdout
+
+
+def test_import_loads_neither_scipy_stats_nor_click():
+    """scipy.stats alone doubles the import's time and memory, scipy.sparse
+    loads with the first CSR operator, and click is for the command line
+    only."""
+    code = "import sys, json, edgelens; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(fresh_python(code))
+    for package in ("scipy.stats", "scipy.sparse", "click"):
+        assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
+
+
+# Explanations, method and oracle reports of two frozen-corpus graphs, which
+# take the dense path; then the CSR path: a 205-node explanation and two
+# epochs of training. `loaded` records, after each, whether scipy.sparse is.
+DENSE_THEN_CSR = """
+import sys
+import edgelens as el
+from edgelens.explain import explanation_to_json
+from edgelens.models import model_to_json
+
+ARCH = {"num_layers": 3, "hidden_dim": 32, "num_classes": 2}
+corpus = el.gen_ba2motifs_mini(n_graphs=200, base_nodes=5, seed=7)[:2]
+m = el.init_gcn(input_dim=10, num_layers=3, hidden_dim=32, num_classes=2, seed=3)
+out = {
+    "explain": [explanation_to_json(el.explain(m, rec.graph), rec.graph) for rec in corpus],
+    "methods": repr(el.compare_methods(m, corpus)),
+    "oracle": repr(el.oracle_report(m, corpus)),
+}
+loaded = ["scipy.sparse" in sys.modules]
+large = el.gen_ba2motifs_mini(n_graphs=1, base_nodes=200, seed=3)[0].graph
+out["large"] = explanation_to_json(el.explain(m, large), large)
+loaded.append("scipy.sparse" in sys.modules)
+cfg = el.TrainConfig(epochs=2, seed=7)
+out["model"] = model_to_json(el.train_gcn(corpus, ARCH, cfg).model)
+"""
+
+
+def test_dense_path_never_loads_scipy_sparse():
+    """A process that stays on the dense path never loads scipy.sparse; its
+    first CSR operator does, and the outputs of both paths are byte-equal
+    to the same calls in this session, where scipy.sparse was loaded
+    first."""
+    import scipy.sparse  # noqa: F401
+
+    fresh = json.loads(
+        fresh_python(DENSE_THEN_CSR + "import json\nprint(json.dumps([out, loaded]))")
     )
-    loaded = json.loads(result.stdout)
-    assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
-    assert [m for m in loaded if m == "click" or m.startswith("click.")] == []
+    here: dict = {}
+    exec(DENSE_THEN_CSR, here)
+    assert fresh == [here["out"], [False, True]]
 
 
 def test_readme_names_resolve():
