@@ -33,6 +33,6 @@ print(f"fidelity+ {e.fidelity_plus:+.6f}  fidelity- {e.fidelity_minus:+.6f}")
 print(f"overall   {e.overall:+.6f}  sparsity {e.sparsity:.4f}")
 print(f"forward passes used: {e.forward_passes_used} (budget 3|E|+2 = {3 * g.num_undirected_edges + 2})")
 
-export_dot(g, e, "explanation.dot")
+export_dot(e, "explanation.dot")
 print()
 print("wrote explanation.dot (chosen edges in red)")

@@ -25,7 +25,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .evaluate import (
-    CurvePoint,
     compare_methods,
     export_dot,
     fidelity_curve,
@@ -70,8 +69,6 @@ from .models import (
 from .training import (
     TrainConfig,
     TrainResult,
-    analytic_gradients,
-    finite_difference_check,
     init_gcn,
     train_gcn,
 )

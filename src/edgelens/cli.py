@@ -90,9 +90,9 @@ def explain_cmd(model_path, graph_path, target_class, method, k_range, out_path,
         m = load_model(model_path)
         g = load_graph(graph_path)
         e = run_explain(m, g, target_class=target, method=method, k_range=k_range)
-        save_explanation(e, g, out_path)
+        save_explanation(e, out_path)
         if dot_path:
-            eval_mod.export_dot(g, e, dot_path)
+            eval_mod.export_dot(e, dot_path)
         click.echo(
             f"class={e.target_class} chosen_k={e.chosen_k} "
             f"overall={e.overall:.6f} sparsity={e.sparsity:.6f} "
@@ -171,13 +171,13 @@ def oracle_cmd(model_path, dataset_path, cap, out_path):
 def gen_dataset_cmd(kind, n_graphs, seed, base_nodes, out_path):
     """Generate a synthetic corpus with ground-truth edge masks."""
     if kind == "ba2motifs-mini":
-        generate, default_base = data_mod.gen_ba2motifs_mini, 20
+        generate = data_mod.gen_ba2motifs_mini
     else:
-        generate, default_base = data_mod.gen_varsize_motifs, 12
-    if base_nodes is None:
-        base_nodes = default_base
+        generate = data_mod.gen_varsize_motifs
+    # Without --base-nodes the generator's own default applies.
+    sizes = {} if base_nodes is None else {"base_nodes": base_nodes}
     try:
-        records = generate(n_graphs, base_nodes=base_nodes, seed=seed)
+        records = generate(n_graphs, seed=seed, **sizes)
     except ValueError as exc:  # the generators' argument checks
         raise click.BadParameter(str(exc), param_hint="--base-nodes") from None
 

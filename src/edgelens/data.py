@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, UndefinedMetricError
-from .graphs import Graph, _graph_from_obj, graph_to_json
+from .graphs import Graph, _graph_from_obj, _graph_to_obj
 
 FEATURE_DIM = 10
 
@@ -161,7 +161,7 @@ def edge_mask_auc(scores, gt_mask) -> float:
 
 def record_to_json(rec: DatasetRecord) -> str:
     obj = {
-        "graph": json.loads(graph_to_json(rec.graph)),
+        "graph": _graph_to_obj(rec.graph),
         "label": rec.label,
         "gt_edge_mask": list(rec.gt_edge_mask),
         "motif_count": rec.motif_count,

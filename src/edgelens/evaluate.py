@@ -25,7 +25,7 @@ from .explain import (
     rank_edges,
     score_edges,
 )
-from .graphs import Graph, is_real
+from .graphs import is_real
 from .models import ModelSpec, forward
 
 
@@ -162,9 +162,11 @@ def oracle_report(m: ModelSpec, dataset, cap: int = 14) -> OracleReport:
     )
 
 
-def export_dot(g: Graph, explanation: Explanation | None, path) -> None:
-    """DOT rendering with explanation edges bold red, the rest gray."""
-    chosen = set(explanation.subgraph.edges) if explanation is not None else set()
+def export_dot(e: Explanation, path) -> None:
+    """DOT rendering of the explained graph, e.subgraph.parent, with the
+    explanation edges bold red and the rest gray."""
+    g = e.subgraph.parent
+    chosen = set(e.subgraph.edges)
     lines = ["graph explanation {"]
     lines.append('  node [shape=circle, fontsize=10];')
     for v in range(g.n):

@@ -379,7 +379,7 @@ def linear_search(
         fidelity_plus=best[1],
         fidelity_minus=best[2],
         overall=best[0],
-        sparsity=sparsity(sub, g),
+        sparsity=sparsity(sub),
         target_class=target_class,
         method=None,
         forward_passes_used=passes,
@@ -444,8 +444,10 @@ def brute_force_best_subgraph(
     return min(tuple(bits[row].tolist()) for row in tied), float(best)
 
 
-def explanation_to_json(e: Explanation, g: Graph) -> str:
-    """Stable-field-order serialization for diff-based regression checks."""
+def explanation_to_json(e: Explanation) -> str:
+    """Stable-field-order serialization for diff-based regression checks;
+    endpoints come from the explained graph, e.subgraph.parent."""
+    g = e.subgraph.parent
     obj = {
         "target_class": e.target_class,
         "method": e.method,
@@ -471,7 +473,7 @@ def explanation_to_json(e: Explanation, g: Graph) -> str:
     return json.dumps(obj, indent=2)
 
 
-def save_explanation(e: Explanation, g: Graph, path) -> None:
+def save_explanation(e: Explanation, path) -> None:
     with open(path, "w") as fh:
-        fh.write(explanation_to_json(e, g))
+        fh.write(explanation_to_json(e))
         fh.write("\n")

@@ -117,20 +117,13 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class Component:
-    nodes: tuple[int, ...]
-    edges: tuple[int, ...]  # undirected indices into the parent graph
-    has_edges: bool
-
-
-@dataclass(frozen=True)
 class InducedSubgraph:
-    """A subgraph of `parent` given by node ids and undirected edge indices."""
+    """A subgraph of `parent` given by node ids and undirected edge indices,
+    each ascending."""
 
     parent: Graph
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
-    components: tuple[Component, ...]
 
     @property
     def num_nodes(self) -> int:
@@ -174,52 +167,6 @@ def edge_mask(g: Graph, es: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def _components_of(
-    g: Graph, nodes: frozenset[int], edges: frozenset[int]
-) -> tuple[Component, ...]:
-    """Connected components of the subgraph (nodes, edges), ordered by
-    smallest node id; each component lists its nodes/edges ascending."""
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    edges_at: dict[int, list[int]] = {v: [] for v in nodes}
-    for e in edges:
-        u, v = g.undirected_endpoints(e)
-        adj[u].append(v)
-        adj[v].append(u)
-        edges_at[u].append(e)
-    comps = []
-    seen: set[int] = set()
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        stack = [start]
-        comp_nodes = []
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            comp_nodes.append(v)
-            stack.extend(u for u in adj[v] if u not in seen)
-        comp_edges = sorted(e for v in comp_nodes for e in edges_at[v])
-        comps.append(
-            Component(
-                nodes=tuple(sorted(comp_nodes)),
-                edges=tuple(comp_edges),
-                has_edges=bool(comp_edges),
-            )
-        )
-    return tuple(comps)
-
-
-def _build(g: Graph, nodes: frozenset[int], edges: frozenset[int]) -> InducedSubgraph:
-    return InducedSubgraph(
-        parent=g,
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(sorted(edges)),
-        components=_components_of(g, nodes, edges),
-    )
-
-
 def _internal_edges(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     """The parent edges with both endpoints in vs."""
     inside = np.zeros(g.n, dtype=bool)
@@ -248,22 +195,58 @@ def induce_by_nodes_and_edges(
     """Union technique: nodes = vs + endpoints(es), edges = es + internal(vs)."""
     vs = _check_ids(vs, g.n, "node ids")
     es = _check_ids(es, g.num_undirected_edges, "edge indices")
-    return _build(g, vs | _endpoints(g, es), es | _internal_edges(g, vs))
+    return InducedSubgraph(
+        parent=g,
+        nodes=tuple(sorted(vs | _endpoints(g, es))),
+        edges=tuple(sorted(es | _internal_edges(g, vs))),
+    )
+
+
+def components(s: InducedSubgraph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Connected components of s as (nodes, edges) pairs, ordered by
+    smallest node id; each lists its nodes and its edges ascending."""
+    g = s.parent
+    adj: dict[int, list[int]] = {v: [] for v in s.nodes}
+    edges_at: dict[int, list[int]] = {v: [] for v in s.nodes}
+    for e in s.edges:
+        u, v = g.undirected_endpoints(e)
+        adj[u].append(v)
+        adj[v].append(u)
+        edges_at[u].append(e)
+    comps = []
+    seen: set[int] = set()
+    for start in s.nodes:
+        if start in seen:
+            continue
+        stack = [start]
+        comp_nodes = []
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            comp_nodes.append(v)
+            stack.extend(u for u in adj[v] if u not in seen)
+        comp_edges = sorted(e for v in comp_nodes for e in edges_at[v])
+        comps.append((tuple(sorted(comp_nodes)), tuple(comp_edges)))
+    return tuple(comps)
 
 
 def intuitiveness(s: InducedSubgraph) -> float:
     """Fraction of components that carry at least one edge."""
-    if not s.components:
+    comps = components(s)
+    if not comps:
         raise UndefinedMetricError("intuitiveness of an empty subgraph is undefined")
-    with_edges = sum(1 for c in s.components if c.has_edges)
-    return with_edges / len(s.components)
+    with_edges = sum(1 for _, edges in comps if edges)
+    return with_edges / len(comps)
 
 
-def sparsity(s: InducedSubgraph, g: Graph) -> float:
-    """1 - |s| / |g| counted in edges."""
-    if g.num_undirected_edges == 0:
+def sparsity(s: InducedSubgraph) -> float:
+    """1 - |s| / |parent| counted in edges."""
+    total = s.parent.num_undirected_edges
+    if total == 0:
         raise UndefinedMetricError("graph has no edges")
-    return 1.0 - s.num_edges / g.num_undirected_edges
+    return 1.0 - s.num_edges / total
 
 
 def enumerate_connected_edge_subgraphs(
@@ -334,6 +317,12 @@ def save_graph(g: Graph, path) -> None:
 
 
 def graph_to_json(g: Graph) -> str:
+    return json.dumps(_graph_to_obj(g), separators=(",", ":"))
+
+
+def _graph_to_obj(g: Graph) -> dict:
+    """The JSON object of g that graph_to_json writes and a dataset record
+    nests."""
     obj = {
         "version": GRAPH_SCHEMA_VERSION,
         "n": g.n,
@@ -349,7 +338,7 @@ def graph_to_json(g: Graph) -> str:
     }
     if g.label is not None:
         obj["label"] = g.label
-    return json.dumps(obj, separators=(",", ":"))
+    return obj
 
 
 def graph_from_json(text: str) -> Graph:
@@ -369,11 +358,26 @@ def _graph_from_obj(obj: dict) -> Graph:
     for key in ("n", "features", "edges", "undirected"):
         if key not in obj:
             raise DataFormatError(f"graph record missing field {key!r}")
-    feats = np.asarray(obj["features"], dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != obj["n"]:
+    n = obj["n"]
+    if type(n) is not int:
+        raise DataFormatError(f"n {n!r} is not a JSON integer")
+    if not isinstance(obj["features"], list):
+        raise DataFormatError("features is not a list of rows")
+    try:
+        feats = np.asarray(obj["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"features are not rows of numbers: {exc}") from exc
+    if feats.ndim != 2 or feats.shape[0] != n:
         raise DataFormatError("features shape does not match n")
+    if type(obj["undirected"]) is not bool:
+        raise DataFormatError(f"undirected {obj['undirected']!r} is not a JSON boolean")
     if not obj["undirected"]:
         raise DataFormatError("only undirected graphs are supported")
+    label = obj.get("label")
+    if label is not None and type(label) is not int:
+        raise DataFormatError(f"label {label!r} is not a JSON integer")
+    if not isinstance(obj["edges"], list):
+        raise DataFormatError(f"edges {obj['edges']!r} is not a list")
     edges = []
     for edge in obj["edges"]:
         if not (isinstance(edge, list) and len(edge) == 3):
@@ -384,7 +388,7 @@ def _graph_from_obj(obj: dict) -> Graph:
         if type(w) not in (int, float):
             raise DataFormatError(f"edge {edge!r}: weight must be a JSON number")
         edges.append((u, v, float(w)))
-    return Graph.undirected(feats, edges, label=obj.get("label"))
+    return Graph.undirected(feats, edges, label=label)
 
 
 def load_graph(path) -> Graph:

@@ -490,9 +490,9 @@ def model_from_json(text: str) -> ModelSpec:
         if key not in obj:
             raise ModelFormatError(f"model file missing field {key!r}")
     kind = obj["conv_kind"]
-    layer_type = _LAYER_TYPES.get(kind)
-    if layer_type is None:
+    if not isinstance(kind, str) or kind not in _LAYER_TYPES:
         raise ModelFormatError(f"unknown conv kind {kind!r}")
+    layer_type = _LAYER_TYPES[kind]
     if not isinstance(obj["layers"], list) or not obj["layers"]:
         raise ModelFormatError("model field 'layers' is not a non-empty list")
     layers = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, NumericalFailureError
-from .graphs import Graph
+from .graphs import Graph, is_integer, is_real
 from .models import (
     Classifier,
     GCNLayer,
@@ -22,8 +22,23 @@ from .models import (
     csr_operator,
     csr_pattern,
     csr_values,
-    forward,
 )
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError unless `value` is an integer (not a bool) >= least."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_init(seed, init_scale) -> None:
+    """ValueError unless seed is an integer >= 0 and init_scale a finite
+    real >= 0."""
+    _check_count("seed", seed, least=0)
+    if not (is_real(init_scale) and 0.0 <= init_scale < np.inf):
+        raise ValueError(f"init_scale must be finite and >= 0, got {init_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -36,12 +51,12 @@ class TrainConfig:
     target_train_accuracy: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.learning_rate < np.inf:
+        if not (is_real(self.learning_rate) and 0.0 <= self.learning_rate < np.inf):
             raise ValueError("learning_rate must be finite and >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
+        _check_count("epochs", self.epochs)
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
+        _check_init(self.seed, self.init_scale)
 
 
 @dataclass(frozen=True)
@@ -85,10 +100,14 @@ def init_gcn(
     relu layer maps a nonnegative scalar multiple of a vector to another
     one, so the whole network collapses to a single scalar per graph.
     """
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
-    if hidden_dim < 1:
-        raise ValueError("hidden_dim must be >= 1")
+    for name, value in (
+        ("input_dim", input_dim),
+        ("num_layers", num_layers),
+        ("hidden_dim", hidden_dim),
+        ("num_classes", num_classes),
+    ):
+        _check_count(name, value)
+    _check_init(seed, init_scale)
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -127,81 +146,6 @@ def _check_dataset(dataset, num_classes: int) -> int:
                 f"graph {i}: label {rec.label} outside [0, {num_classes})"
             )
     return input_dim
-
-
-def analytic_gradients(
-    m: ModelSpec, dataset
-) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Mean loss, train accuracy and mean-cross-entropy gradients over a
-    dataset of records carrying `.graph` and `.label`."""
-    if m.conv_kind != "gcn":
-        raise ValueError("analytic gradients are implemented for GCN only")
-    if _check_dataset(dataset, m.num_classes) != m.input_dim:
-        raise DataFormatError(
-            f"feature dim {dataset[0].graph.d} != model input dim {m.input_dim}"
-        )
-    return _batched_loss_and_grads(m, _Batch(dataset, m))
-
-
-def _model_with_params(m: ModelSpec, params: dict[str, np.ndarray]) -> ModelSpec:
-    """m with each parameter array taken from `params`, keyed and ordered as
-    m.parameter_arrays() keys and orders them."""
-    arrays = iter([params[name] for name in m.parameter_arrays()])
-    parts = [
-        replace(part, **{name: next(arrays) for name in part.arrays})
-        for part in (*m.layers, m.classifier)
-    ]
-    return replace(m, layers=tuple(parts[:-1]), classifier=parts[-1])
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    max_relative_error: float
-    tolerance: float
-    passed: bool
-    worst_parameter: str
-
-
-def finite_difference_check(
-    m: ModelSpec, dataset, h: float = 1e-5, tol: float = 1e-4
-) -> GradientCheckReport:
-    """Compare every analytic gradient entry against a central difference."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-    _, _, analytic = analytic_gradients(m, dataset)
-
-    def mean_loss(params: dict[str, np.ndarray]) -> float:
-        model = _model_with_params(m, params)
-        total = 0.0
-        for rec in dataset:
-            probs = forward(model, rec.graph).probabilities
-            total += -np.log(max(probs[rec.label], 1e-300))
-        return total / len(dataset)
-
-    base = {name: arr.copy() for name, arr in m.parameter_arrays().items()}
-    worst = 0.0
-    worst_name = ""
-    for name, arr in base.items():
-        flat = arr.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            hi = mean_loss(base)
-            flat[j] = orig - h
-            lo = mean_loss(base)
-            flat[j] = orig
-            fd = (hi - lo) / (2 * h)
-            an = analytic[name].reshape(-1)[j]
-            rel = abs(an - fd) / max(abs(fd), 1e-6)
-            if rel > worst:
-                worst = rel
-                worst_name = f"{name}[{j}]"
-    return GradientCheckReport(
-        max_relative_error=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        worst_parameter=worst_name,
-    )
 
 
 class _Batch:
@@ -322,6 +266,8 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
     A diverging run raises NumericalFailureError with no numpy warning: the
     epochs run with overflow and invalid operations ignored.
     """
+    # The dataset check compares labels with num_classes, so it goes first.
+    _check_count("num_classes", arch["num_classes"])
     model = init_gcn(
         input_dim=_check_dataset(dataset, arch["num_classes"]),
         num_layers=arch["num_layers"],

@@ -1,22 +1,96 @@
-"""Allocation-per-epoch reference for the trainer, used only by the tests.
+"""References for the trainer, used only by the tests.
 
-It is the trainer as it stood before the nonzero-only block adjacency: each
-graph's adjacency is filled one edge at a time and normalized as the engine
-reference normalizes it (`reference_engine.normalized_adjacency`), the
-blocks are stacked with `sp.block_diag` (which stores every zero of a dense
-block), and every epoch allocates its own messages, activations and
-backward temporaries. The library must match it bitwise.
+`reference_train_gcn` is the trainer as it stood before the nonzero-only
+block adjacency: each graph's adjacency is filled one edge at a time and
+normalized as the engine reference normalizes it
+(`reference_engine.normalized_adjacency`), the blocks are stacked with
+`sp.block_diag` (which stores every zero of a dense block), and every epoch
+allocates its own messages, activations and backward temporaries. The
+library must match it bitwise.
+
+`finite_difference_check` compares the trainer's analytic gradients with
+central differences of the mean loss, each loss taken by `edgelens.forward`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 import scipy.sparse as sp
 
-from edgelens.models import ModelSpec
-from edgelens.training import TraceEntry, TrainConfig, TrainResult, _model_with_params, init_gcn
+from edgelens.models import ModelSpec, forward
+from edgelens.training import (
+    TraceEntry,
+    TrainConfig,
+    TrainResult,
+    _Batch,
+    _batched_loss_and_grads,
+    init_gcn,
+)
 
 from reference_engine import loop_adjacency, normalized_adjacency
+
+
+def _model_with_params(m: ModelSpec, params: dict[str, np.ndarray]) -> ModelSpec:
+    """m with each parameter array taken from `params`, keyed and ordered as
+    m.parameter_arrays() keys and orders them."""
+    arrays = iter([params[name] for name in m.parameter_arrays()])
+    parts = [
+        replace(part, **{name: next(arrays) for name in part.arrays})
+        for part in (*m.layers, m.classifier)
+    ]
+    return replace(m, layers=tuple(parts[:-1]), classifier=parts[-1])
+
+
+@dataclass(frozen=True)
+class GradientCheckReport:
+    max_relative_error: float
+    tolerance: float
+    passed: bool
+    worst_parameter: str
+
+
+def finite_difference_check(
+    m: ModelSpec, dataset, h: float = 1e-5, tol: float = 1e-4
+) -> GradientCheckReport:
+    """Compare every analytic gradient entry against a central difference."""
+    if not dataset:
+        raise ValueError("dataset is empty")
+    _, _, analytic = _batched_loss_and_grads(m, _Batch(dataset, m))
+
+    def mean_loss(params: dict[str, np.ndarray]) -> float:
+        model = _model_with_params(m, params)
+        total = 0.0
+        for rec in dataset:
+            probs = forward(model, rec.graph).probabilities
+            total += -np.log(max(probs[rec.label], 1e-300))
+        return total / len(dataset)
+
+    base = {name: arr.copy() for name, arr in m.parameter_arrays().items()}
+    worst = 0.0
+    worst_name = ""
+    for name, arr in base.items():
+        flat = arr.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            hi = mean_loss(base)
+            flat[j] = orig - h
+            lo = mean_loss(base)
+            flat[j] = orig
+            fd = (hi - lo) / (2 * h)
+            an = analytic[name].reshape(-1)[j]
+            rel = abs(an - fd) / max(abs(fd), 1e-6)
+            if rel > worst:
+                worst = rel
+                worst_name = f"{name}[{j}]"
+    return GradientCheckReport(
+        max_relative_error=worst,
+        tolerance=tol,
+        passed=worst <= tol,
+        worst_parameter=worst_name,
+    )
 
 
 class ReferenceBatch:

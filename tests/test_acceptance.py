@@ -23,7 +23,6 @@ from edgelens import (
     fidelity_curve,
     fidelity_minus,
     fidelity_plus,
-    finite_difference_check,
     gen_ba2motifs_mini,
     induce_by_edges,
     induce_by_nodes,
@@ -38,10 +37,11 @@ from edgelens import (
     train_gcn,
 )
 from edgelens.data import DatasetRecord
-from edgelens.graphs import Graph
+from edgelens.graphs import Graph, components
 from edgelens.models import forward
 
 from conftest import one_edge_drops, path_graph, random_graph, random_model, reweighted
+from reference_training import finite_difference_check
 
 # ---------------------------------------------------------------------------
 # Frozen experiment: 200-graph planted-motif corpus (seed 7) and the
@@ -105,8 +105,8 @@ def _all_connected_labeled_graphs(max_nodes):
         for size in range(n - 1, len(possible) + 1):
             for edges in itertools.combinations(possible, size):
                 g = Graph.undirected(np.ones((n, 1)), list(edges))
-                comps = induce_by_nodes(g, range(g.n)).components
-                if len(comps) == 1 and len(comps[0].nodes) == n:
+                comps = components(induce_by_nodes(g, range(g.n)))
+                if len(comps) == 1 and len(comps[0][0]) == n:
                     out.append(g)
     return out
 
@@ -326,7 +326,7 @@ def test_criterion_10_endpoints_and_reproducibility(tmp_path):
         save_model(m, paths["model"])
         save_dataset(records, paths["data"])
         e = explain(m, records[0].graph)
-        save_explanation(e, records[0].graph, paths["exp"])
+        save_explanation(e, paths["exp"])
         blobs.append({k: p.read_bytes() for k, p in paths.items()})
     assert blobs[0] == blobs[1]
     print("criterion 10: PASS (endpoint identities exact, outputs byte-identical)")

@@ -144,6 +144,22 @@ class TestExplainCommand:
         assert result.exit_code == 3, result.output
         assert "error:" in result.output
 
+    def test_malformed_graph_is_data_error(self, runner, workspace):
+        """Exit 3 with one error line, not a traceback (exit 1)."""
+        bad = workspace["dir"] / "bad_graph.json"
+        bad.write_text(json.dumps({**json.loads(workspace["graph"].read_text()), "edges": 5}))
+        result = runner.invoke(
+            main,
+            [
+                "explain",
+                "--model", str(workspace["model"]),
+                "--graph", str(bad),
+                "--out", str(workspace["dir"] / "x.json"),
+            ],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: edges 5 is not a list\n"
+
     def test_overflowing_model_is_numerical_failure(self, workspace):
         """Exit code 4, and the error line is all of stderr: no numpy
         warning reaches the user. A subprocess, so stderr is the real one

@@ -14,7 +14,7 @@ from edgelens import (
     save_dataset,
 )
 from edgelens.data import DatasetRecord, record_to_json
-from edgelens.graphs import Graph, induce_by_edges, induce_by_nodes
+from edgelens.graphs import Graph, components, induce_by_edges, induce_by_nodes
 
 
 def pair_counting_auc(scores, mask):
@@ -47,7 +47,7 @@ class TestBa2MotifsMini:
             # house carries the extra chord, pentagon is the bare cycle
             assert len(flagged) == (6 if rec.label == 0 else 5)
             sub = induce_by_edges(rec.graph, flagged)
-            assert len(sub.components) == 1
+            assert len(components(sub)) == 1
             assert len(sub.nodes) == 5
             degrees = sorted(
                 sum(1 for a, b in (rec.graph.undirected_endpoints(e) for e in flagged) if v in (a, b))
@@ -67,7 +67,7 @@ class TestBa2MotifsMini:
     def test_graph_is_connected(self):
         for rec in gen_ba2motifs_mini(10, base_nodes=12, seed=3):
             g = rec.graph
-            assert len(induce_by_nodes(g, range(g.n)).components) == 1
+            assert len(components(induce_by_nodes(g, range(g.n)))) == 1
 
     def test_deterministic(self):
         a = gen_ba2motifs_mini(15, base_nodes=9, seed=4)
@@ -103,9 +103,10 @@ class TestVarsizeMotifs:
                 continue
             flagged = [e for e, b in enumerate(rec.gt_edge_mask) if b]
             sub = induce_by_edges(rec.graph, flagged)
-            assert len(sub.components) == rec.motif_count
-            for comp in sub.components:
-                assert len(comp.nodes) == 3 and len(comp.edges) == 2
+            comps = components(sub)
+            assert len(comps) == rec.motif_count
+            for nodes, edges in comps:
+                assert len(nodes) == 3 and len(edges) == 2
 
     def test_mask_length_matches_edges(self):
         for rec in gen_varsize_motifs(30, seed=9):
@@ -256,6 +257,16 @@ class TestDatasetIO:
         path = tmp_path / "f.jsonl"
         path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataFormatError, match=f"line 2: {field}"):
+            load_dataset(path)
+
+    def test_malformed_graph_edges_rejected_with_line(self, tmp_path):
+        # a raw TypeError from iterating the int at the parent
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        bad = json.loads(record_to_json(records[1]))
+        bad["graph"]["edges"] = 5
+        path = tmp_path / "e.jsonl"
+        path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match="line 2: edges 5 is not a list"):
             load_dataset(path)
 
     @pytest.mark.parametrize("line", ["[]", '{"graph": {}}', '{"label": 0}'])

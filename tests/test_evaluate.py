@@ -159,19 +159,11 @@ class TestDotExport:
         g = path_graph(3, 3)
         e = explain(model, g)
         path = tmp_path / "g.dot"
-        export_dot(g, e, path)
+        export_dot(e, path)
         text = path.read_text()
         assert text.startswith("graph explanation {")
         assert text.count('color="red"') == e.chosen_k
         assert text.count('color="gray"') == g.num_undirected_edges - e.chosen_k
-
-    def test_no_explanation_all_gray(self, tmp_path):
-        g = path_graph(3, 3)
-        path = tmp_path / "g.dot"
-        export_dot(g, None, path)
-        text = path.read_text()
-        assert 'color="red"' not in text
-        assert text.count('color="gray"') == 3
 
 
 class TestFormatting:

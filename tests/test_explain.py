@@ -199,7 +199,7 @@ class TestLinearSearch:
         e = linear_search(small_model, path3, np.argsort([0.1, 0.9])[::-1], 0)
         assert e.ranked_edges == (1, 0)
         assert all(type(i) is int for i in e.ranked_edges)
-        save_explanation(e, path3, tmp_path / "e.json")
+        save_explanation(e, tmp_path / "e.json")
         saved = json.loads((tmp_path / "e.json").read_text())
         assert [r["edge"] for r in saved["ranked_edges"]] == [1, 0]
 
@@ -407,11 +407,11 @@ class TestSerialization:
     def test_stable_output(self, small_model):
         g = random_graph(np.random.default_rng(37), feature_dim=2)
         e = explain(small_model, g, target_class=0)
-        assert explanation_to_json(e, g) == explanation_to_json(e, g)
+        assert explanation_to_json(e) == explanation_to_json(e)
 
     def test_fields_present_in_order(self, path3, small_model):
         e = explain(small_model, path3, target_class=0)
-        text = explanation_to_json(e, path3)
+        text = explanation_to_json(e)
         keys = [
             "target_class",
             "method",

@@ -20,7 +20,7 @@ from edgelens import (
     save_graph,
     sparsity,
 )
-from edgelens.graphs import edge_mask, graph_from_json, graph_to_json
+from edgelens.graphs import components, edge_mask, graph_from_json, graph_to_json
 
 from conftest import random_graph
 
@@ -32,9 +32,7 @@ def brute_force_connected_subsets(g):
     out = []
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            nodes = {v for e in subset for v in g.undirected_endpoints(e)}
-            sub = induce_by_edges(g, subset)
-            if len(sub.components) == 1:
+            if len(components(induce_by_edges(g, subset))) == 1:
                 out.append(subset)
     return sorted(out)
 
@@ -56,7 +54,7 @@ class TestInduceByNodes:
         s = induce_by_nodes(path3, {0, 2})
         assert s.nodes == (0, 2)
         assert s.edges == ()
-        assert len(s.components) == 2
+        assert len(components(s)) == 2
 
     def test_unknown_node_rejected(self, path3):
         with pytest.raises(InvalidSelectionError):
@@ -88,7 +86,7 @@ class TestInduceByEdges:
         s = induce_by_edges(triangle, set())
         assert s.nodes == ()
         assert s.edges == ()
-        assert s.components == ()
+        assert components(s) == ()
 
     def test_unknown_edge_rejected(self, triangle):
         with pytest.raises(InvalidSelectionError):
@@ -112,7 +110,7 @@ class TestInduceByNodesAndEdges:
             b = induce_by_edges(g, es)
             assert a.nodes == b.nodes
             assert a.edges == b.edges
-            assert a.components == b.components
+            assert components(a) == components(b)
 
     def test_full_triangle(self, triangle):
         s = induce_by_nodes_and_edges(triangle, {0, 1, 2}, set())
@@ -121,9 +119,7 @@ class TestInduceByNodesAndEdges:
     def test_mixed_components(self, path4):
         s = induce_by_nodes_and_edges(path4, {3}, {0})
         assert s.nodes == (0, 1, 3)
-        assert len(s.components) == 2
-        assert s.components[0].has_edges
-        assert not s.components[1].has_edges
+        assert components(s) == (((0, 1), (0,)), ((3,), ()))
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
@@ -174,15 +170,15 @@ class TestSparsity:
     def test_fraction(self):
         g = random_graph(np.random.default_rng(4), max_nodes=8, max_extra_edges=6)
         s = induce_by_edges(g, {0, 1})
-        assert sparsity(s, g) == 1 - 2 / g.num_undirected_edges
+        assert sparsity(s) == 1 - 2 / g.num_undirected_edges
 
     def test_endpoints(self, triangle):
-        assert sparsity(induce_by_edges(triangle, {0, 1, 2}), triangle) == 0.0
-        assert sparsity(induce_by_edges(triangle, set()), triangle) == 1.0
+        assert sparsity(induce_by_edges(triangle, {0, 1, 2})) == 0.0
+        assert sparsity(induce_by_edges(triangle, set())) == 1.0
 
     def test_monotone_in_selection_size(self, triangle):
         vals = [
-            sparsity(induce_by_edges(triangle, set(range(k))), triangle)
+            sparsity(induce_by_edges(triangle, set(range(k))))
             for k in range(4)
         ]
         assert vals == sorted(vals, reverse=True)
@@ -190,23 +186,20 @@ class TestSparsity:
     def test_zero_size_unit_rejected(self):
         g = Graph.undirected(np.ones((2, 1)), [])
         with pytest.raises(UndefinedMetricError):
-            sparsity(induce_by_edges(g, set()), g)
+            sparsity(induce_by_edges(g, set()))
 
 
 class TestConnectedComponents:
     def test_path_single_component(self, path3):
-        assert len(induce_by_nodes(path3, range(path3.n)).components) == 1
+        assert len(components(induce_by_nodes(path3, range(path3.n)))) == 1
 
     def test_two_disjoint_edges(self):
         g = Graph.undirected(np.ones((4, 1)), [(0, 1), (2, 3)])
-        comps = induce_by_nodes(g, range(g.n)).components
-        assert len(comps) == 2
-        assert comps[0].nodes == (0, 1)
-        assert comps[1].nodes == (2, 3)
+        assert components(induce_by_nodes(g, range(g.n))) == (((0, 1), (0,)), ((2, 3), (1,)))
 
     def test_empty_graph(self):
         g = Graph.undirected(np.zeros((0, 1)), [])
-        assert induce_by_nodes(g, range(g.n)).components == ()
+        assert components(induce_by_nodes(g, range(g.n))) == ()
 
 
 class TestEnumeration:
@@ -240,10 +233,9 @@ def node_technique_oracle(g):
     seen = set()
     for size in range(1, g.n + 1):
         for vs in itertools.combinations(range(g.n), size):
-            s = induce_by_nodes(g, vs)
-            for comp in s.components:
-                if comp.has_edges:
-                    seen.add(comp.edges)
+            for _, edges in components(induce_by_nodes(g, vs)):
+                if edges:
+                    seen.add(edges)
     return seen
 
 
@@ -341,6 +333,27 @@ class TestGraphIO:
     def test_rejects_non_object_record(self):
         with pytest.raises(DataFormatError, match="not a JSON object"):
             graph_from_json("[1, 2]")
+
+    # Each of these raised a raw TypeError or ValueError, or (n, undirected,
+    # label) loaded without complaint.
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("edges", 5, "edges 5 is not a list"),
+            ("features", "ab", "features is not a list of rows"),
+            ("features", [[1.0], [1.0, 2.0], [1.0]], "features are not rows of numbers"),
+            ("n", 3.0, "n 3.0 is not a JSON integer"),
+            ("undirected", [1], "undirected \\[1\\] is not a JSON boolean"),
+            ("label", {"a": 1}, "label \\{'a': 1\\} is not a JSON integer"),
+        ],
+        ids=["edges-int", "features-string", "features-ragged", "n-float",
+             "undirected-list", "label-object"],
+    )
+    def test_rejects_malformed_field(self, field, value, match):
+        obj = json.loads(self._record())
+        obj[field] = value
+        with pytest.raises(DataFormatError, match=match):
+            graph_from_json(json.dumps(obj))
 
 
 class TestEdgeArrays:

@@ -303,6 +303,7 @@ class TestModelIO:
             {"num_classes": 2.0},
             {"num_classes": True},
             {"conv_kind": "mlp"},
+            {"conv_kind": ["gcn"]},
         ],
         ids=lambda p: json.dumps(p),
     )

@@ -80,13 +80,13 @@ ARCH = {"num_layers": 3, "hidden_dim": 32, "num_classes": 2}
 corpus = el.gen_ba2motifs_mini(n_graphs=200, base_nodes=5, seed=7)[:2]
 m = el.init_gcn(input_dim=10, num_layers=3, hidden_dim=32, num_classes=2, seed=3)
 out = {
-    "explain": [explanation_to_json(el.explain(m, rec.graph), rec.graph) for rec in corpus],
+    "explain": [explanation_to_json(el.explain(m, rec.graph)) for rec in corpus],
     "methods": repr(el.compare_methods(m, corpus)),
     "oracle": repr(el.oracle_report(m, corpus)),
 }
 loaded = ["scipy.sparse" in sys.modules]
 large = el.gen_ba2motifs_mini(n_graphs=1, base_nodes=200, seed=3)[0].graph
-out["large"] = explanation_to_json(el.explain(m, large), large)
+out["large"] = explanation_to_json(el.explain(m, large))
 loaded.append("scipy.sparse" in sys.modules)
 cfg = el.TrainConfig(epochs=2, seed=7)
 out["model"] = model_to_json(el.train_gcn(corpus, ARCH, cfg).model)

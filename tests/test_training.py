@@ -6,17 +6,16 @@ from edgelens import (
     Graph,
     NumericalFailureError,
     TrainConfig,
-    analytic_gradients,
-    finite_difference_check,
     gen_ba2motifs_mini,
     init_gcn,
     train_gcn,
 )
 from edgelens.data import DatasetRecord
 from edgelens.models import forward
-from edgelens.training import _model_with_params
+from edgelens.training import _Batch, _batched_loss_and_grads
 
 from conftest import gin_model, random_graph
+from reference_training import _model_with_params, finite_difference_check
 
 
 def tiny_dataset(seed=40, k=6, feature_dim=3):
@@ -65,6 +64,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=lr)
 
+    # Each of these gave a raw TypeError or OverflowError from inside
+    # train_gcn, or (True) silently ran as 1.
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("epochs", 2.5, "epochs must be an integer"),
+            ("epochs", True, "epochs must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("init_scale", float("nan"), "init_scale must be finite"),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_nan_scale(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{field: value})
+
 
 class TestGradients:
     def test_finite_difference_agreement(self):
@@ -81,32 +95,23 @@ class TestGradients:
         # the loss (for a small enough step)
         ds = tiny_dataset(seed=41)
         m = init_gcn(3, 2, 4, 2, seed=2)
-        loss0, _, grads = analytic_gradients(m, ds)
+        loss0, _, grads = _batched_loss_and_grads(m, _Batch(ds, m))
         params = {k: v.copy() for k, v in m.parameter_arrays().items()}
         for k in params:
             params[k] -= 1e-3 * grads[k]
-        loss1, _, _ = analytic_gradients(_model_with_params(m, params), ds)
+        stepped = _model_with_params(m, params)
+        loss1, _, _ = _batched_loss_and_grads(stepped, _Batch(ds, stepped))
         assert loss1 < loss0
 
     def test_duplicating_dataset_leaves_mean_gradient_fixed(self):
         ds = tiny_dataset(seed=42, k=4)
         m = init_gcn(3, 2, 4, 2, seed=3)
-        l1, a1, g1 = analytic_gradients(m, ds)
-        l2, a2, g2 = analytic_gradients(m, ds + ds)
+        l1, a1, g1 = _batched_loss_and_grads(m, _Batch(ds, m))
+        l2, a2, g2 = _batched_loss_and_grads(m, _Batch(ds + ds, m))
         assert l1 == pytest.approx(l2, abs=1e-12)
         assert a1 == a2
         for k in g1:
             np.testing.assert_allclose(g1[k], g2[k], atol=1e-12)
-
-    def test_empty_dataset_rejected(self):
-        m = init_gcn(3, 2, 4, 2)
-        with pytest.raises(ValueError):
-            analytic_gradients(m, [])
-
-    def test_feature_dim_mismatch_is_data_error(self):
-        m = init_gcn(4, 2, 4, 2)
-        with pytest.raises(DataFormatError):
-            analytic_gradients(m, tiny_dataset(feature_dim=3))
 
 
 class TestInit:
@@ -219,6 +224,17 @@ class TestTrainGCN:
         # a raw IndexError for 0 layers, a constant model for 0 hidden units
         arch = {**ARCH, key: 0}
         with pytest.raises(ValueError, match="must be >= 1"):
+            train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1))
+
+    # 2.5 gave a raw TypeError from numpy at the first array of that size;
+    # True ran as a 1-layer model.
+    @pytest.mark.parametrize(
+        "key, value",
+        [("num_layers", 2.5), ("hidden_dim", 2.5), ("num_classes", 2.5), ("num_layers", True)],
+    )
+    def test_non_integer_architecture_rejected(self, key, value):
+        arch = {**ARCH, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
             train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1))
 
     def test_dataset_problems_are_data_errors(self):
