@@ -146,6 +146,23 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def number_array(value) -> np.ndarray:
+    """A JSON value as a float64 array. ValueError unless it is a number or
+    equal-length lists, nested to any depth, of JSON numbers: ints and
+    floats, not the booleans and numeric strings numpy would convert."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(str(exc)) from exc
+    items = [value]
+    for _ in range(arr.ndim):
+        items = [x for row in items for x in row]
+    bad = [x for x in items if type(x) not in (int, float)]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not a JSON number")
+    return arr
+
+
 def _check_ids(ids: Iterable[int], count: int, what: str) -> frozenset[int]:
     """The ids as a frozenset of ints; InvalidSelectionError for an id that
     is not an integer or not in [0, count)."""
@@ -364,8 +381,8 @@ def _graph_from_obj(obj: dict) -> Graph:
     if not isinstance(obj["features"], list):
         raise DataFormatError("features is not a list of rows")
     try:
-        feats = np.asarray(obj["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        feats = number_array(obj["features"])
+    except ValueError as exc:
         raise DataFormatError(f"features are not rows of numbers: {exc}") from exc
     if feats.ndim != 2 or feats.shape[0] != n:
         raise DataFormatError("features shape does not match n")

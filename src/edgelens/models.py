@@ -9,20 +9,18 @@ base points sound.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DataFormatError, ModelFormatError, NumericalFailureError
-from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask
-
-# scipy.sparse, about 300 modules, is imported inside the code that builds
-# or multiplies a CSR operator (csr_operator, csr_matmul and the trainer's
-# batch): a process that stays on the dense path never loads it.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask, number_array
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -130,19 +128,58 @@ class Prediction:
     predicted_class: int
 
 
-def csr_matmul(
-    operator: sp.csr_matrix, h: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """operator @ h for a float64 (n, d) h, bit for bit: the same call of
-    scipy's kernel csr_matvecs that csr_matrix.__matmul__ ends in, without
-    its dispatch. Each output row starts at 0 and adds a_ij * h_j one stored
+@dataclass
+class CSR:
+    """A compressed sparse row matrix: row i stores the values
+    data[indptr[i]:indptr[i + 1]] at the columns of the same slice of
+    `indices`. The arrays are C-contiguous, data float64, indptr and
+    indices of one integer type. `data` may be swapped for another array of
+    its shape and type."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+# scipy's compiled module scipy.sparse._sparsetools, once csr_matmul has
+# loaded it.
+_sparsetools = None
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools():
+    """scipy.sparse._sparsetools, loaded from its file alone: scipy's
+    package __init__ and scipy.sparse's 300 modules never run. It is
+    registered under its own name, so a later `import scipy.sparse` takes
+    this module rather than loading a second copy. ImportError, naming
+    scipy's version, when the installed scipy has no such file."""
+    global _sparsetools
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("edgelens needs scipy for its CSR kernel; it is not installed")
+        sparse = os.path.join(scipy.submodule_search_locations[0], "sparse")
+        spec = importlib.machinery.PathFinder.find_spec(_SPARSETOOLS, [sparse])
+        if spec is None:
+            from importlib.metadata import version
+
+            raise ImportError(f"scipy {version('scipy')} has no {_SPARSETOOLS} in {sparse}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_SPARSETOOLS] = module
+    _sparsetools = module
+    return module
+
+
+def csr_matmul(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """operator @ h for a float64 (n, d) h, bit for bit: one call of
+    scipy's compiled kernel csr_matvecs, the call scipy's own CSR product
+    ends in. Each output row starts at 0 and adds a_ij * h_j one stored
     entry at a time, in stored order. A given `out`, a C-contiguous float64
     array of the result's shape, is overwritten and returned instead of a
     new array."""
-    # `import a.b as c` of a loaded module costs about 0.25 µs here, a
-    # `from a import b` about 0.8 µs.
-    import scipy.sparse._sparsetools as sparsetools
-
     n, d = h.shape
     if out is None:
         out = np.zeros((operator.shape[0], d))
@@ -154,7 +191,7 @@ def csr_matmul(
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     else:
         out.fill(0.0)
-    sparsetools.csr_matvecs(
+    (_sparsetools or _load_sparsetools()).csr_matvecs(
         operator.shape[0], n, d, operator.indptr, operator.indices, operator.data,
         h.ravel(), out.ravel(),
     )
@@ -163,12 +200,12 @@ def csr_matmul(
 
 def forward_dense(
     m: ModelSpec,
-    operator: np.ndarray | sp.csr_matrix,
+    operator: np.ndarray | CSR,
     features: np.ndarray,
     kept: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (C,) logits of one full model evaluation phi(A, X) over a prebuilt
-    (s, s) operator, a dense array or a CSR matrix: the normalization
+    (s, s) operator, a dense array or a CSR: the normalization
     D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN. With the boolean
     (s,) `kept`, only the kept nodes are pooled. forward_rows takes the
     softmax and checks the logits, once per batch.
@@ -179,7 +216,7 @@ def forward_dense(
     csr_matmul, BLAS products through np.dot rather than the @ operator's
     dispatch. None of it changes a bit (tests/test_engine_parity.py).
     """
-    sparse = not isinstance(operator, np.ndarray)
+    sparse = isinstance(operator, CSR)
     h = features
     if m.conv_kind == "gcn":
         for layer in m.layers:
@@ -252,15 +289,14 @@ def csr_pattern(
 
 
 def csr_operator(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """The (n, n) csr_matrix holding `values` at the csr_pattern entries
-    (`rows`, `cols`)."""
-    import scipy.sparse as sp
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
+) -> CSR:
+    """The CSR of the given shape holding `values` at the entries (`rows`,
+    `cols`), which are sorted by row and then by column, as csr_pattern
+    sorts them."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return CSR(indptr, cols, values, shape)
 
 
 def csr_values(
@@ -351,7 +387,7 @@ def forward_rows(
     call runs with overflow and invalid operations ignored.
     """
     if g.d != m.input_dim:
-        raise NumericalFailureError(f"feature dim {g.d} != model input dim {m.input_dim}")
+        raise DataFormatError(f"feature dim {g.d} != model input dim {m.input_dim}")
     if g.n == 0:
         raise DataFormatError("cannot evaluate a graph with no nodes")
     pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=m.conv_kind == "gcn")
@@ -383,14 +419,14 @@ def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
 
 
 def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
-    """forward_rows' logits over all n nodes of every row: one csr_matrix of
-    the pattern, its values swapped in row by row from csr_values chunks of
+    """forward_rows' logits over all n nodes of every row: one CSR of the
+    pattern, its values swapped in row by row from csr_values chunks of
     at most STACK_BYTES. A dropped node's entries to and from kept nodes
     are 0, and forward_dense pools the kept nodes only, so each row is
     bitwise the CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
     rows, cols, _ = pattern
-    op = csr_operator(rows, cols, np.zeros(len(cols)), g.n)
+    op = csr_operator(rows, cols, np.zeros(len(cols)), (g.n, g.n))
     step = max(1, STACK_BYTES // (8 * max(1, len(cols))))
     out = np.empty((len(weights), m.num_classes))
     for lo in range(0, len(weights), step):
@@ -531,8 +567,8 @@ def _arrays(obj, names: tuple[str, ...], where: str) -> dict[str, np.ndarray]:
     out = {}
     for i, name in enumerate(names):
         try:
-            arr = np.asarray(obj[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            arr = number_array(obj[name])
+        except ValueError as exc:
             raise ModelFormatError(f"{where} {name}: {exc}") from exc
         if arr.ndim != (1 if i % 2 else 2):
             raise ModelFormatError(f"{where} {name} has shape {arr.shape}")

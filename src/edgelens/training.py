@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DataFormatError, NumericalFailureError
 from .graphs import Graph, is_integer, is_real
 from .models import (
+    CSR,
     Classifier,
     GCNLayer,
     ModelSpec,
@@ -148,6 +149,14 @@ def _check_dataset(dataset, num_classes: int) -> int:
     return input_dim
 
 
+def _transpose(op: CSR) -> CSR:
+    """op.T as a CSR, entry for entry what scipy's op.T.tocsr() gives: the
+    entries sorted by column and then by row."""
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    order = np.lexsort((rows, op.indices))
+    return csr_operator(op.indices[order], rows[order], op.data[order], op.shape[::-1])
+
+
 class _Batch:
     """All graphs stacked into one block-diagonal system, so an epoch is a
     handful of sparse matmuls instead of a Python loop over the dataset.
@@ -165,8 +174,6 @@ class _Batch:
     """
 
     def __init__(self, dataset, m: ModelSpec):
-        import scipy.sparse as sp
-
         graphs = [rec.graph for rec in dataset]
         sizes = np.array([g.n for g in graphs])
         offsets = np.cumsum(sizes) - sizes
@@ -181,7 +188,7 @@ class _Batch:
         pattern = csr_pattern(whole.edge_u, whole.edge_v, n_total, self_loops=True)
         everything = np.ones((1, n_total), dtype=bool)
         values = csr_values(whole, pattern, whole.edge_weight[None], everything, gcn=True)
-        self.norm = csr_operator(pattern[0], pattern[1], values[0], n_total)
+        self.norm = csr_operator(pattern[0], pattern[1], values[0], (n_total, n_total))
 
         self.x = whole.features
         self.labels = np.array([rec.label for rec in dataset])
@@ -189,23 +196,22 @@ class _Batch:
             weights = np.repeat(1.0 / sizes, sizes)
         else:
             weights = np.ones(n_total)
-        self.pool = sp.csr_matrix(
-            (weights, np.arange(n_total), np.append(offsets, n_total)),
-            shape=(len(graphs), n_total),
+        self.pool = CSR(
+            np.append(offsets, n_total), np.arange(n_total), weights, (len(graphs), n_total)
         )
 
         # The backward products by the transposes, stored as CSR: the same
         # products, term for term and in the same order, as by the CSC
-        # views that .T gives, and they can write into a buffer.
-        self.norm_t = self.norm.T.tocsr()
-        self.pool_t = self.pool.T.tocsr()
+        # views of the transposes, and they can write into a buffer.
+        self.norm_t = _transpose(self.norm)
+        self.pool_t = _transpose(self.pool)
 
         # msgs[k] = norm @ h_{k-1}; the layer-0 message does not depend on
         # the parameters. h[k] is layer k's activation, dh[k] the loss
         # gradient with respect to it, back[k] the backward product
         # dz_k @ W_k.T (k >= 1).
         widths = [layer.weight.shape[1] for layer in m.layers]
-        self.msgs = [self.norm @ self.x] + [np.empty((n_total, w)) for w in widths[:-1]]
+        self.msgs = [csr_matmul(self.norm, self.x)] + [np.empty((n_total, w)) for w in widths[:-1]]
         self.h = [np.empty((n_total, width)) for width in widths]
         self.dh = [np.empty((n_total, width)) for width in widths]
         self.back = [None] + [np.empty((n_total, width)) for width in widths[:-1]]
@@ -226,7 +232,7 @@ def _batched_loss_and_grads(
         np.matmul(batch.msgs[k], layer.weight, out=h)
         h += layer.bias
         np.maximum(h, 0.0, out=h)
-    pooled = batch.pool @ h
+    pooled = csr_matmul(batch.pool, h)
     cls = m.classifier
     u1 = pooled @ cls.w1 + cls.b1
     a1 = np.maximum(u1, 0.0)

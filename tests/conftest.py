@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from edgelens import Graph, forward, init_gcn, models
 from edgelens.data import DatasetRecord
@@ -149,6 +150,12 @@ def operator_rows(g, rng):
     return weights, nodes
 
 
+def scipy_csr(op: models.CSR) -> sp.csr_matrix:
+    """The scipy csr_matrix holding the arrays of a models.CSR, so tests
+    can read it with scipy's own methods."""
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape)
+
+
 def assert_one_gcn_normalization(graphs, seed=0):
     """Every operator entry is bitwise the same however it is laid out.
     Each graph's D^-1/2 (A + I) D^-1/2 from csr_values, as a CSR operator,
@@ -157,13 +164,13 @@ def assert_one_gcn_normalization(graphs, seed=0):
     weighted_adjacency stack is its CSR operator restricted to its kept
     nodes."""
     records = [DatasetRecord(g, 0, (0,) * g.num_undirected_edges, 0) for g in graphs]
-    batch = _Batch(records, init_gcn(graphs[0].d, 1, 1, 1)).norm.toarray()
+    batch = scipy_csr(_Batch(records, init_gcn(graphs[0].d, 1, 1, 1)).norm).toarray()
     rng = np.random.default_rng(seed)
     offset = 0
     for g in graphs:
         pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=True)
         values = csr_values(g, pattern, g.edge_weight[None], np.ones((1, g.n), bool), gcn=True)
-        csr = csr_operator(pattern[0], pattern[1], values[0], g.n).toarray()
+        csr = scipy_csr(csr_operator(pattern[0], pattern[1], values[0], (g.n, g.n))).toarray()
         np.testing.assert_array_equal(batch[offset : offset + g.n, offset : offset + g.n], csr)
         offset += g.n
         weights, nodes = operator_rows(g, rng)
@@ -175,5 +182,6 @@ def assert_one_gcn_normalization(graphs, seed=0):
                 group = np.flatnonzero(sizes == s)
                 stacks = weighted_adjacency(g, pattern, weights[group], nodes[group], gcn)
                 for dense, i in zip(stacks, group):
-                    csr = csr_operator(pattern[0], pattern[1], values[i], g.n).toarray()
+                    op = csr_operator(pattern[0], pattern[1], values[i], (g.n, g.n))
+                    csr = scipy_csr(op).toarray()
                     np.testing.assert_array_equal(dense, csr[np.ix_(nodes[i], nodes[i])])

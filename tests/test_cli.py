@@ -160,6 +160,23 @@ class TestExplainCommand:
         assert result.exit_code == 3, result.output
         assert result.output == "error: edges 5 is not a list\n"
 
+    def test_feature_dim_mismatch_is_data_error(self, runner, workspace):
+        """A 1-feature graph under a 10-input model: exit 3 with one error
+        line."""
+        graph = workspace["dir"] / "narrow_graph.json"
+        save_graph(Graph.undirected(np.ones((3, 1)), [(0, 1), (1, 2)]), graph)
+        result = runner.invoke(
+            main,
+            [
+                "explain",
+                "--model", str(workspace["model"]),
+                "--graph", str(graph),
+                "--out", str(workspace["dir"] / "x.json"),
+            ],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: feature dim 1 != model input dim 10\n"
+
     def test_overflowing_model_is_numerical_failure(self, workspace):
         """Exit code 4, and the error line is all of stderr: no numpy
         warning reaches the user. A subprocess, so stderr is the real one

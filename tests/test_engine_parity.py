@@ -146,20 +146,23 @@ def test_csr_matmul_is_scipy_product(index_dtype, d):
     a = sp.random(205, 180, density=0.02, format="csr", random_state=34)
     a.indices = a.indices.astype(index_dtype)
     a.indptr = a.indptr.astype(index_dtype)
+    op = models.CSR(a.indptr, a.indices, a.data, a.shape)
     h = rng.uniform(-1.0, 1.0, size=(180, d))
-    got = csr_matmul(a, h)
+    got = csr_matmul(op, h)
     assert a.indices.dtype == a.indptr.dtype == index_dtype
     np.testing.assert_array_equal(got, a @ h)
 
     buffer = np.full((205, d), np.nan)
-    assert csr_matmul(a, h, out=buffer) is buffer
+    assert csr_matmul(op, h, out=buffer) is buffer
     np.testing.assert_array_equal(buffer, got)
     for bad in (np.empty((205, 2 * d))[:, ::2], np.empty((205, d), dtype=np.float32)):
         with pytest.raises(ValueError, match="C-contiguous float64"):
-            csr_matmul(a, h, out=bad)
+            csr_matmul(op, h, out=bad)
 
     g = rng.uniform(-1.0, 1.0, size=(205, d))
-    np.testing.assert_array_equal(csr_matmul(a.T.tocsr(), g), a.T @ g)
+    t = a.T.tocsr()
+    t_op = models.CSR(t.indptr, t.indices, t.data, t.shape)
+    np.testing.assert_array_equal(csr_matmul(t_op, g), a.T @ g)
 
 
 def matmul_logits(m, operator, features, kept=None):
@@ -216,7 +219,7 @@ def test_dot_is_matmul_in_every_forward_product(kind, d):
     pattern = models.csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=kind == "gcn")
     kept = rng.uniform(size=(1, g.n)) < 0.5
     values = models.csr_values(g, pattern, g.edge_weight[None], kept, kind == "gcn")[0]
-    op = models.csr_operator(*pattern[:2], values, g.n)
+    op = models.csr_operator(*pattern[:2], values, (g.n, g.n))
     got = models.forward_dense(m, op, x, kept[0])
     np.testing.assert_array_equal(got, matmul_logits(m, op, x, kept[0]))
 
@@ -308,7 +311,7 @@ def test_forward_dense_runs_the_closed_form_number_of_times(path, forward_dense_
     assert takes_csr_path(g) == (path == "csr")
     num_edges = g.num_undirected_edges
     calls = forward_dense_calls
-    operator_type = sp.csr_matrix if path == "csr" else np.ndarray
+    operator_type = models.CSR if path == "csr" else np.ndarray
 
     def ran():
         """The passes since the last ran(), each checked to get the path's

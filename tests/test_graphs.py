@@ -342,11 +342,14 @@ class TestGraphIO:
             ("edges", 5, "edges 5 is not a list"),
             ("features", "ab", "features is not a list of rows"),
             ("features", [[1.0], [1.0, 2.0], [1.0]], "features are not rows of numbers"),
+            ("features", [["1.5"], [1.0], [1.0]], "features are not rows of numbers"),
+            ("features", [[1.0], [True], [1.0]], "features are not rows of numbers"),
             ("n", 3.0, "n 3.0 is not a JSON integer"),
             ("undirected", [1], "undirected \\[1\\] is not a JSON boolean"),
             ("label", {"a": 1}, "label \\{'a': 1\\} is not a JSON integer"),
         ],
-        ids=["edges-int", "features-string", "features-ragged", "n-float",
+        ids=["edges-int", "features-string", "features-ragged", "features-numeric-string",
+             "features-bool", "n-float",
              "undirected-list", "label-object"],
     )
     def test_rejects_malformed_field(self, field, value, match):

@@ -172,6 +172,13 @@ class TestForwardProperties:
         with pytest.raises(DataFormatError, match="weights of shape"):
             forward(small_model, path3, weights=np.zeros(shape))
 
+    def test_feature_dim_mismatch_is_data_error(self, path3):
+        """A graph whose feature dimension is not the model's input
+        dimension is bad data, not a numerical failure."""
+        m = init_gcn(input_dim=3, num_layers=1, hidden_dim=2, num_classes=2, seed=1)
+        with pytest.raises(DataFormatError, match="feature dim 2 != model input dim 3"):
+            forward(m, path3)
+
     def test_weights_leave_graph_untouched(self, path3, small_model):
         before = path3.edge_weight.copy()
         w = np.array([0.0, 0.5])
@@ -298,6 +305,9 @@ class TestModelIO:
             {"layers": {}},
             {"layers": [{"weight": "x", "bias": [0.0]}]},
             {"layers": [{"weight": [1.0, 0.0], "bias": [0.0, 0.0]}]},
+            {"layers": [{"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": ["0.5", True]}]},
+            {"layers": [{"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.5, True]}]},
+            {"layers": [{"weight": [["1", 0.0], [0.0, 1.0]], "bias": [0.5, 0.0]}]},
             {"classifier": {}},
             {"classifier": None},
             {"num_classes": 2.0},

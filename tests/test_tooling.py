@@ -10,6 +10,8 @@ pays for in start-up time and peak memory."""
 import ast
 import builtins
 import importlib
+import importlib.machinery
+import importlib.metadata
 import json
 import os
 import re
@@ -17,7 +19,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import edgelens
+from edgelens import models
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "benchmarks" / "run.py"
@@ -58,18 +64,18 @@ def fresh_python(code: str) -> str:
 
 
 def test_import_loads_neither_scipy_stats_nor_click():
-    """scipy.stats alone doubles the import's time and memory, scipy.sparse
-    loads with the first CSR operator, and click is for the command line
-    only."""
+    """scipy.stats alone doubles the import's time and memory, the library
+    loads no scipy module before its first CSR product, and click is for
+    the command line only."""
     code = "import sys, json, edgelens; print(json.dumps(sorted(sys.modules)))"
     loaded = json.loads(fresh_python(code))
-    for package in ("scipy.stats", "scipy.sparse", "click"):
+    for package in ("scipy", "click"):
         assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
 # Explanations, method and oracle reports of two frozen-corpus graphs, which
 # take the dense path; then the CSR path: a 205-node explanation and two
-# epochs of training. `loaded` records, after each, whether scipy.sparse is.
+# epochs of training. `loaded` records, after each, the scipy modules loaded.
 DENSE_THEN_CSR = """
 import sys
 import edgelens as el
@@ -84,20 +90,24 @@ out = {
     "methods": repr(el.compare_methods(m, corpus)),
     "oracle": repr(el.oracle_report(m, corpus)),
 }
-loaded = ["scipy.sparse" in sys.modules]
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+loaded = [scipy_modules()]
 large = el.gen_ba2motifs_mini(n_graphs=1, base_nodes=200, seed=3)[0].graph
 out["large"] = explanation_to_json(el.explain(m, large))
-loaded.append("scipy.sparse" in sys.modules)
+loaded.append(scipy_modules())
 cfg = el.TrainConfig(epochs=2, seed=7)
 out["model"] = model_to_json(el.train_gcn(corpus, ARCH, cfg).model)
+loaded.append(scipy_modules())
 """
 
 
 def test_dense_path_never_loads_scipy_sparse():
-    """A process that stays on the dense path never loads scipy.sparse; its
-    first CSR operator does, and the outputs of both paths are byte-equal
-    to the same calls in this session, where scipy.sparse was loaded
-    first."""
+    """A process on the dense path loads no scipy module at all. The CSR
+    path and the trainer load scipy's compiled CSR kernel and no other
+    scipy module: neither scipy's package nor scipy.sparse. The outputs of
+    both paths are byte-equal to the same calls in the test process, where
+    scipy.sparse was loaded first."""
     import scipy.sparse  # noqa: F401
 
     fresh = json.loads(
@@ -105,7 +115,48 @@ def test_dense_path_never_loads_scipy_sparse():
     )
     here: dict = {}
     exec(DENSE_THEN_CSR, here)
-    assert fresh == [here["out"], [False, True]]
+    kernel = ["scipy.sparse._sparsetools"]
+    assert fresh == [here["out"], [[], kernel, kernel]]
+
+
+def test_scipy_sparse_reuses_the_loaded_kernel():
+    """An `import scipy.sparse` after the first CSR product takes the
+    kernel module edgelens loaded rather than a second copy, and scipy's
+    own product then gives edgelens' bits."""
+    code = """
+import sys
+import numpy as np
+from edgelens import models
+rows, cols = np.array([0, 0, 1]), np.array([0, 1, 1])
+op = models.csr_operator(rows, cols, np.array([0.5, 0.25, 2.0]), (2, 2))
+h = np.array([[1.0, 3.0], [0.1, 0.7]])
+got = models.csr_matmul(op, h)
+import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+assert _sparsetools is sys.modules["scipy.sparse._sparsetools"] is models._sparsetools
+want = sp.csr_matrix((op.data, op.indices, op.indptr), shape=op.shape) @ h
+print(np.array_equal(got, want))
+"""
+    assert fresh_python(code) == "True\n"
+
+
+def test_missing_kernel_file_is_import_error(monkeypatch):
+    """A scipy without the kernel's file raises ImportError naming scipy's
+    version; nothing falls back to importing scipy.sparse."""
+    kernel = "scipy.sparse._sparsetools"
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def no_kernel(cls, name, path=None, target=None):
+        return None if name == kernel else find_spec(name, path, target)
+
+    monkeypatch.setattr(models, "_sparsetools", None)
+    monkeypatch.delitem(sys.modules, kernel, raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(no_kernel))
+    op = models.csr_operator(np.array([0]), np.array([0]), np.array([1.0]), (1, 1))
+    version = re.escape(importlib.metadata.version("scipy"))
+    with pytest.raises(ImportError, match=f"scipy {version} has no scipy.sparse._sparsetools"):
+        models.csr_matmul(op, np.ones((1, 1)))
+    assert kernel not in sys.modules
 
 
 def test_readme_names_resolve():

@@ -12,7 +12,7 @@ from edgelens import Graph, TrainConfig, gen_ba2motifs_mini, init_gcn, train_gcn
 from edgelens.data import DatasetRecord
 from edgelens.training import _Batch, _batched_loss_and_grads
 
-from conftest import assert_one_gcn_normalization
+from conftest import assert_one_gcn_normalization, scipy_csr
 from reference_training import (
     ReferenceBatch,
     reference_loss_and_grads,
@@ -84,7 +84,7 @@ def test_train_matches_reference_on_weighted_sum_pooled_graphs():
 def test_block_adjacency_is_the_dense_blocks_without_zeros(corpus, which):
     ds = corpus if which == "corpus" else weighted_dataset()
     m = init_gcn(ds[0].graph.d, 2, 8, 3, pooling="sum")
-    norm = _Batch(ds, m).norm
+    norm = scipy_csr(_Batch(ds, m).norm)
     stored = ReferenceBatch(ds, "sum").norm
     dense = stored.toarray()
     assert norm.has_sorted_indices
@@ -93,6 +93,21 @@ def test_block_adjacency_is_the_dense_blocks_without_zeros(corpus, which):
     assert np.array_equal(norm.toarray(), dense)
     if which == "corpus":
         assert (norm.nnz, stored.nnz) == (6200, 20000)
+
+
+@pytest.mark.parametrize("pooling", ["mean", "sum"])
+@pytest.mark.parametrize("which", ["corpus", "weighted"])
+def test_batch_transposes_are_scipy_transposes(corpus, which, pooling):
+    """The trainer's backward operators norm_t and pool_t hold, entry for
+    entry and in the same order, the arrays of scipy's .T.tocsr() of norm
+    and pool, whose products the reference trainer takes."""
+    ds = corpus if which == "corpus" else weighted_dataset()
+    batch = _Batch(ds, init_gcn(ds[0].graph.d, 2, 8, 3, pooling=pooling))
+    for op, op_t in ((batch.norm, batch.norm_t), (batch.pool, batch.pool_t)):
+        want = scipy_csr(op).T.tocsr()
+        assert op_t.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(op_t, name), getattr(want, name))
 
 
 def test_batch_normalizes_as_the_engine():
