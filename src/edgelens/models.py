@@ -198,51 +198,72 @@ def csr_matmul(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
+def tiled_biases(m: ModelSpec, s: int) -> list[list[np.ndarray]]:
+    """Each layer's biases in the order forward_dense adds them, each tiled
+    to an (s, d_out) array, so that every bias add of a pass over s nodes
+    is a same-shape add."""
+    return [[np.tile(b, (s, 1)) for _, b in _pairs(layer)] for layer in m.layers]
+
+
 def forward_dense(
     m: ModelSpec,
     operator: np.ndarray | CSR,
     features: np.ndarray,
+    biases: list[list[np.ndarray]],
     kept: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The (C,) logits of one full model evaluation phi(A, X) over a prebuilt
-    (s, s) operator, a dense array or a CSR: the normalization
-    D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN. With the boolean
-    (s,) `kept`, only the kept nodes are pooled. forward_rows takes the
-    softmax and checks the logits, once per batch.
+    """The (d,) pooled embedding of one pass of m's conv layers over a
+    prebuilt (s, s) operator, a dense array or a CSR: the normalization
+    D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN. `biases` are
+    tiled_biases(m, s), which the caller makes once for all its rows of s
+    nodes. With the boolean (s,) `kept`, only the kept nodes are pooled.
+    forward_rows applies the classifier to a chunk's pooled rows with
+    readout, and takes the softmax and checks the logits once per batch.
 
     At these sizes a pass costs mostly numpy's per-call overhead, so each
-    step takes as few calls as its arithmetic allows: biases and ReLUs in
-    place, GIN's (1 + eps) h added onto A h, a CSR product straight through
-    csr_matmul, BLAS products through np.dot rather than the @ operator's
-    dispatch. None of it changes a bit (tests/test_engine_parity.py).
+    step takes as few calls as its arithmetic allows: same-shape biases and
+    ReLUs in place, GIN's (1 + eps) h added onto A h (h itself when
+    1 + eps is 1), a CSR product straight through csr_matmul, BLAS products
+    through np.dot rather than the @ operator's dispatch. None of it
+    changes a bit (tests/test_engine_parity.py).
     """
     sparse = isinstance(operator, CSR)
     h = features
     if m.conv_kind == "gcn":
-        for layer in m.layers:
+        for layer, (b,) in zip(m.layers, biases):
             z = np.dot(csr_matmul(operator, h) if sparse else np.dot(operator, h), layer.weight)
-            z += layer.bias
+            z += b
             h = np.maximum(z, 0.0, out=z)
     else:
-        for layer in m.layers:
+        for layer, (b1, b2) in zip(m.layers, biases):
             agg = csr_matmul(operator, h) if sparse else np.dot(operator, h)
-            agg += (1.0 + layer.epsilon) * h
+            scale = 1.0 + layer.epsilon
+            agg += h if scale == 1.0 else scale * h
             z = np.dot(agg, layer.w1)
-            z += layer.b1
+            z += b1
             h = np.dot(np.maximum(z, 0.0, out=z), layer.w2)
-            h += layer.b2
+            h += b2
     if kept is not None:
         h = h[kept]
     # h.mean(axis=0) is this sum divided by the node count, bit for bit.
     pooled = np.add.reduce(h, 0)
     if m.pooling == "mean":
         pooled /= h.shape[0]
+    return pooled
+
+
+def readout(m: ModelSpec, pooled: np.ndarray) -> np.ndarray:
+    """The (b, C) logits of m's classifier on (b, d) pooled rows. Each
+    product is one np.matmul over the (b, 1, d) stack of rows, which numpy
+    runs as one gemv per row, the call np.dot makes on a row alone; a
+    (b, d) x (d, h) gemm would group the sums differently
+    (tests/test_engine_parity.py pins the bits)."""
     cls = m.classifier
-    hidden = np.dot(pooled, cls.w1)
+    hidden = np.matmul(pooled[:, None, :], cls.w1)
     hidden += cls.b1
-    logits = np.dot(np.maximum(hidden, 0.0, out=hidden), cls.w2)
+    logits = np.matmul(np.maximum(hidden, 0.0, out=hidden), cls.w2)
     logits += cls.b2
-    return logits
+    return logits[:, 0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -380,7 +401,8 @@ def forward_rows(
     through one CSR operator (see _csr_forward_rows). Otherwise rows are
     grouped by node count, and each group's dense operators are laid out
     by weighted_adjacency, a chunk at a time. forward_dense runs once per
-    row and softmax_rows once per call.
+    row and returns its pooled embedding, readout turns a chunk's pooled
+    rows into logits, and softmax_rows runs once per call.
 
     A model whose finite parameters overflow float64 raises
     NumericalFailureError from softmax_rows, with no numpy warning: the
@@ -402,39 +424,49 @@ def forward_rows(
 def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over each row's kept nodes only: rows grouped by
     node count, each chunk's (b, s, s) operator stack and its (b, nnz)
-    csr_values within STACK_BYTES."""
+    csr_values within STACK_BYTES, one readout per chunk."""
     gcn = m.conv_kind == "gcn"
     sizes = nodes.sum(axis=1)
     out = np.empty((len(sizes), m.num_classes))
+    width = m.classifier.w1.shape[0]
     for s in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == s)
+        biases = tiled_biases(m, s)
         step = max(1, STACK_BYTES // (8 * max(s * s, len(pattern[0]))))
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
             ops = weighted_adjacency(g, pattern, weights[rows], nodes[rows], gcn)
             feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
-            for r, op, x in zip(rows.tolist(), ops, feats):
-                out[r] = forward_dense(m, op, x)
+            pooled = np.empty((len(rows), width))
+            for i, (op, x) in enumerate(zip(ops, feats)):
+                pooled[i] = forward_dense(m, op, x, biases)
+            out[rows] = readout(m, pooled)
     return out
 
 
 def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over all n nodes of every row: one CSR of the
     pattern, its values swapped in row by row from csr_values chunks of
-    at most STACK_BYTES. A dropped node's entries to and from kept nodes
-    are 0, and forward_dense pools the kept nodes only, so each row is
-    bitwise the CSR pass of its standalone graph."""
+    at most STACK_BYTES, one readout per chunk. A dropped node's entries
+    to and from kept nodes are 0, and forward_dense pools the kept nodes
+    only (a row that keeps every node pools h itself, without a copy), so
+    each row is bitwise the CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
     rows, cols, _ = pattern
     op = csr_operator(rows, cols, np.zeros(len(cols)), (g.n, g.n))
+    biases = tiled_biases(m, g.n)
     step = max(1, STACK_BYTES // (8 * max(1, len(cols))))
     out = np.empty((len(weights), m.num_classes))
+    width = m.classifier.w1.shape[0]
     for lo in range(0, len(weights), step):
         kept = nodes[lo : lo + step]
         values = csr_values(g, pattern, weights[lo : lo + step], kept, gcn)
-        for r, (row_values, row_kept) in enumerate(zip(values, kept), lo):
+        full = kept.all(axis=1).tolist()
+        pooled = np.empty((len(kept), width))
+        for i, (row_values, row_kept) in enumerate(zip(values, kept)):
             op.data = row_values
-            out[r] = forward_dense(m, op, g.features, row_kept)
+            pooled[i] = forward_dense(m, op, g.features, biases, None if full[i] else row_kept)
+        out[lo : lo + len(kept)] = readout(m, pooled)
     return out
 
 

@@ -75,14 +75,15 @@ def one_edge_drops(m, g, c):
     ])
 
 
-def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2):
-    """GIN with uniform(-0.3, 0.3) parameters, epsilon 0.25 and mean pooling."""
+def gin_model(seed, feature_dim, hidden, num_layers, num_classes=2, epsilon=0.25):
+    """GIN with uniform(-0.3, 0.3) parameters, the given epsilon and mean
+    pooling."""
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-0.3, 0.3, size=shape)
     dims = [feature_dim] + [hidden] * num_layers
     layers = tuple(
         GINLayer(w1=u(dims[i], hidden), b1=u(hidden), w2=u(hidden, dims[i + 1]),
-                 b2=u(dims[i + 1]), epsilon=0.25)
+                 b2=u(dims[i + 1]), epsilon=epsilon)
         for i in range(num_layers)
     )
     classifier = Classifier(w1=u(hidden, hidden), b1=u(hidden), w2=u(hidden, num_classes),

@@ -56,6 +56,12 @@ MODELS = {
     "gcn": lambda: init_gcn(FEATURES, 3, 32, 2, seed=21, init_scale=0.3),
     "gin": lambda: gin_model(22, FEATURES, hidden=32, num_layers=3),
 }
+# The reference-parity tests also run the GIN at epsilon 0, the default,
+# where forward_dense adds h itself onto A h.
+PARITY_MODELS = {
+    **MODELS,
+    "gin-eps0": lambda: gin_model(22, FEATURES, hidden=32, num_layers=3, epsilon=0.0),
+}
 
 
 def ba_graph(base_nodes, seed, weighted):
@@ -72,12 +78,12 @@ def ba_graph(base_nodes, seed, weighted):
     return Graph.undirected(rng.uniform(0.0, 1.0, size=(g.n, FEATURES)), edges)
 
 
-@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("kind", sorted(PARITY_MODELS))
 @pytest.mark.parametrize(
     "base_nodes, weighted", [(20, False), (20, True), (200, False)], ids=["n25", "n25w", "n205"]
 )
 def test_every_prefix_matches_reference(kind, base_nodes, weighted):
-    m = MODELS[kind]()
+    m = PARITY_MODELS[kind]()
     g = ba_graph(base_nodes, seed=base_nodes + 1, weighted=weighted)
     num_edges = g.num_undirected_edges
     csr = takes_csr_path(g)
@@ -165,14 +171,9 @@ def test_csr_matmul_is_scipy_product(index_dtype, d):
     np.testing.assert_array_equal(csr_matmul(t_op, g), a.T @ g)
 
 
-def matmul_logits(m, operator, features, kept=None):
+def matmul_pooled(m, operator, features, kept=None):
     """forward_dense's pass as written with the @ operator, each product
     first checked bitwise against the np.dot call forward_dense makes."""
-
-    def product(a, b):
-        np.testing.assert_array_equal(np.dot(a, b), a @ b, err_msg=f"{a.shape} x {b.shape}")
-        return a @ b
-
     sparse = not isinstance(operator, np.ndarray)
     propagate = (lambda h: csr_matmul(operator, h)) if sparse else (lambda h: product(operator, h))
     h = features
@@ -187,6 +188,18 @@ def matmul_logits(m, operator, features, kept=None):
     pooled = np.add.reduce(h, 0)
     if m.pooling == "mean":
         pooled /= h.shape[0]
+    return pooled
+
+
+def product(a, b):
+    """a @ b, checked bitwise against np.dot(a, b)."""
+    np.testing.assert_array_equal(np.dot(a, b), a @ b, err_msg=f"{a.shape} x {b.shape}")
+    return a @ b
+
+
+def gemv_logits(m, pooled):
+    """The classifier on one (d,) pooled row: the gemv products np.dot
+    makes on a 1-D input, each checked bitwise against @."""
     cls = m.classifier
     hidden = np.maximum(product(pooled, cls.w1) + cls.b1, 0.0)
     return product(hidden, cls.w2) + cls.b2
@@ -200,28 +213,63 @@ def test_dot_is_matmul_in_every_forward_product(kind, d):
     pass makes: the (s, s) operator times (s, d) features (s = 1 gives a
     1 x 1 operator, which np.dot treats as a scalar), the layer weights,
     and the classifier's 1-D input (a gemv), for dense and CSR operators.
-    A numpy or BLAS release that routes one of them differently fails
-    here."""
+    readout's logits of the pooled row are those of the gemv form. A numpy
+    or BLAS release that routes one of them differently fails here."""
     rng = np.random.default_rng(40 + d)
     m = (
         init_gcn(d, 2, d, 3, seed=41, init_scale=0.3)
         if kind == "gcn"
         else gin_model(42, d, hidden=d, num_layers=2, num_classes=3)
     )
+
+    def check(op, x, kept=None):
+        got = models.forward_dense(m, op, x, models.tiled_biases(m, len(x)), kept)
+        want = matmul_pooled(m, op, x, kept)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(models.readout(m, got[None])[0], gemv_logits(m, want))
+
     for s in (1, 2, 10, 25):
         a = np.triu(rng.uniform(size=(s, s)) * (rng.uniform(size=(s, s)) < 0.4), 1)
         a += a.T
         op = normalized_adjacency(a) if kind == "gcn" else a
-        x = rng.uniform(-1.0, 1.0, size=(s, d))
-        np.testing.assert_array_equal(models.forward_dense(m, op, x), matmul_logits(m, op, x))
+        check(op, rng.uniform(-1.0, 1.0, size=(s, d)))
     g = ba_graph(200, seed=43, weighted=False)
     x = rng.uniform(-1.0, 1.0, size=(g.n, d))
     pattern = models.csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=kind == "gcn")
     kept = rng.uniform(size=(1, g.n)) < 0.5
     values = models.csr_values(g, pattern, g.edge_weight[None], kept, kind == "gcn")[0]
-    op = models.csr_operator(*pattern[:2], values, (g.n, g.n))
-    got = models.forward_dense(m, op, x, kept[0])
-    np.testing.assert_array_equal(got, matmul_logits(m, op, x, kept[0]))
+    check(models.csr_operator(*pattern[:2], values, (g.n, g.n)), x, kept[0])
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("d", [1, 7, 32])
+@pytest.mark.parametrize("b", [1, 2, 650, 2047])
+def test_stacked_readout_is_the_per_row_gemv(kind, d, b):
+    """readout runs the classifier on a chunk's (b, d) pooled rows in one
+    np.matmul per product, over (b, 1, d) stacks. Each row must get the
+    bits of np.dot on that row alone, the gemv the per-row pass made; a
+    (b, d) x (d, h) gemm groups its sums differently. Rows span scales from
+    1e-3 to 1e3 and include zeros, signed zeros and negative entries, so
+    that some hidden units are cut by the ReLU. A numpy or BLAS release
+    that turns the stack into one gemm fails here."""
+    rng = np.random.default_rng(48 + d + b)
+    m = (
+        init_gcn(d, 1, d, 3, seed=49, init_scale=0.3)
+        if kind == "gcn"
+        else gin_model(50, d, hidden=d, num_layers=1, num_classes=3)
+    )
+    pooled = rng.normal(size=(b, d)) * 10.0 ** rng.integers(-3, 4, size=(b, 1))
+    pooled[rng.uniform(size=(b, d)) < 0.1] = 0.0
+    pooled[rng.uniform(size=(b, d)) < 0.05] = -0.0
+    got = models.readout(m, pooled)
+    assert got.shape == (b, 3)
+    cls = m.classifier
+    for row, logits in zip(pooled, got):
+        hidden = np.dot(row, cls.w1)
+        hidden += cls.b1
+        want = np.dot(np.maximum(hidden, 0.0, out=hidden), cls.w2)
+        want += cls.b2
+        np.testing.assert_array_equal(logits, want)
 
 
 def per_row_softmax(logits):
@@ -259,8 +307,10 @@ def test_batch_softmax_is_per_row_softmax(num_classes):
 @pytest.mark.parametrize("base_nodes", [20, 200], ids=["dense", "csr"])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 def test_non_finite_row_inside_a_batch_fails_typed(kind, base_nodes, bad, monkeypatch):
-    """One non-finite logit in the middle row of a batch: NumericalFailureError
-    from forward_rows, with no numpy warning, on either path."""
+    """The middle row of a batch with a non-finite pooled embedding, so that
+    readout gives it non-finite logits: NumericalFailureError from
+    forward_rows after all 5 passes, with no numpy warning, on either
+    path."""
     m = MODELS[kind]()
     g = ba_graph(base_nodes, seed=45, weighted=True)
     assert takes_csr_path(g) == (base_nodes == 200)
@@ -270,11 +320,11 @@ def test_non_finite_row_inside_a_batch_fails_typed(kind, base_nodes, bad, monkey
     real = models.forward_dense
 
     def spoiled(*args):
-        logits = real(*args)
+        pooled = real(*args)
         passes.append(len(passes))
         if len(passes) == 3:
-            logits[-1] = bad
-        return logits
+            pooled[:] = bad
+        return pooled
 
     monkeypatch.setattr(models, "forward_dense", spoiled)
     with warnings.catch_warnings():
@@ -482,14 +532,14 @@ def test_mixed_row_batch_matches_reference(kind, monkeypatch):
         np.testing.assert_array_equal(probs, want)
 
 
-@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("kind", sorted(PARITY_MODELS))
 def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
     """The CSR path's form of the test above: on a 205-node graph, with the
     byte bound patched down to 4 rows of values per chunk, re-weighted rows
     and fidelity rows of several node counts in one batch, the empty mask,
     the full mask and a kept 0-weight edge among them, plus node-induced
     rows, whose edges to dropped nodes carry nonzero weights."""
-    m = MODELS[kind]()
+    m = PARITY_MODELS[kind]()
     rng = np.random.default_rng(30)
     g = ba_graph(200, seed=30, weighted=True)
     w = np.where(rng.uniform(size=g.num_undirected_edges) < 0.2, 0.0, g.edge_weight)
