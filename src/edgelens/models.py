@@ -178,8 +178,8 @@ def csr_matmul(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> n
     scipy's compiled kernel csr_matvecs, the call scipy's own CSR product
     ends in. Each output row starts at 0 and adds a_ij * h_j one stored
     entry at a time, in stored order. A given `out`, a C-contiguous float64
-    array of the result's shape, is overwritten and returned instead of a
-    new array."""
+    array of the result's shape that shares no memory with `h`, is
+    overwritten and returned instead of a new array."""
     n, d = h.shape
     if out is None:
         out = np.zeros((operator.shape[0], d))
@@ -189,6 +189,9 @@ def csr_matmul(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> n
         or not out.flags.c_contiguous
     ):
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
+    elif np.may_share_memory(out, h):
+        # out is zeroed before the kernel reads h.
+        raise ValueError("out must not share memory with h")
     else:
         out.fill(0.0)
     (_sparsetools or _load_sparsetools()).csr_matvecs(

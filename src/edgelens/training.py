@@ -49,6 +49,8 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     init_scale: float = 0.3
+    # Training stops after the first epoch whose train accuracy reaches
+    # this; a value above 1, math.inf included, never stops early.
     target_train_accuracy: float = 1.0
 
     def __post_init__(self):
@@ -58,6 +60,10 @@ class TrainConfig:
         if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
         _check_init(self.seed, self.init_scale)
+        if not (is_real(self.target_train_accuracy) and self.target_train_accuracy >= 0.0):
+            raise ValueError(
+                f"target_train_accuracy must be a real >= 0, got {self.target_train_accuracy!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,8 @@ def _check_dataset(dataset, num_classes: int) -> int:
             raise DataFormatError(f"graph {i} has no nodes")
         if rec.graph.d != input_dim:
             raise DataFormatError("all graphs must share one feature dimension")
+        if not is_integer(rec.label):
+            raise DataFormatError(f"graph {i}: label {rec.label!r} is not an integer")
         if not 0 <= rec.label < num_classes:
             raise DataFormatError(
                 f"graph {i}: label {rec.label} outside [0, {num_classes})"
@@ -170,7 +178,22 @@ class _Batch:
     epoch, their pages can go back to the kernel and the next epoch faults
     them in again. Whether they do depends on the allocator's thresholds,
     which whatever else the process imported has moved, so an epoch
-    allocates no per-node array at all.
+    allocates no per-node array at all. It keeps only what the backward
+    pass reads:
+
+    - `msgs[k]`, the message norm @ h_{k-1} into layer k, which layer k's
+      weight gradient reads. msgs[0] = norm @ x does not depend on the
+      parameters and is computed once. Once that gradient is taken, the
+      backward pass writes dz_k @ W_k.T, of the same shape, over msgs[k]
+      (k >= 1).
+    - `active[k]`, a boolean mask of where layer k's activation is > 0,
+      which is where its pre-activation is: all the ReLU backward needs.
+    - `node`, one flat buffer that holds each activation in turn in the
+      forward pass, the last one until it is pooled, and then each
+      gradient dz in the backward pass, through `node_view`.
+
+    Three epochs on the 200-graph corpus (2000 nodes, 3 layers of 32) peak
+    at 2.66 MiB traced; `test_epoch_working_set` bounds it.
     """
 
     def __init__(self, dataset, m: ModelSpec):
@@ -206,15 +229,14 @@ class _Batch:
         self.norm_t = _transpose(self.norm)
         self.pool_t = _transpose(self.pool)
 
-        # msgs[k] = norm @ h_{k-1}; the layer-0 message does not depend on
-        # the parameters. h[k] is layer k's activation, dh[k] the loss
-        # gradient with respect to it, back[k] the backward product
-        # dz_k @ W_k.T (k >= 1).
         widths = [layer.weight.shape[1] for layer in m.layers]
         self.msgs = [csr_matmul(self.norm, self.x)] + [np.empty((n_total, w)) for w in widths[:-1]]
-        self.h = [np.empty((n_total, width)) for width in widths]
-        self.dh = [np.empty((n_total, width)) for width in widths]
-        self.back = [None] + [np.empty((n_total, width)) for width in widths[:-1]]
+        self.active = [np.empty((n_total, w), dtype=bool) for w in widths]
+        self.node = np.empty(n_total * max(widths))
+
+    def node_view(self, width: int) -> np.ndarray:
+        """The node buffer as a C-contiguous (n_total, width) array."""
+        return self.node[: self.x.shape[0] * width].reshape(-1, width)
 
 
 def _batched_loss_and_grads(
@@ -227,11 +249,12 @@ def _batched_loss_and_grads(
     """
     for k, layer in enumerate(m.layers):
         if k > 0:
-            csr_matmul(batch.norm, batch.h[k - 1], out=batch.msgs[k])
-        h = batch.h[k]
+            csr_matmul(batch.norm, h, out=batch.msgs[k])
+        h = batch.node_view(layer.weight.shape[1])
         np.matmul(batch.msgs[k], layer.weight, out=h)
         h += layer.bias
         np.maximum(h, 0.0, out=h)
+        np.greater(h, 0.0, out=batch.active[k])  # relu(z) > 0 exactly where z > 0
     pooled = csr_matmul(batch.pool, h)
     cls = m.classifier
     u1 = pooled @ cls.w1 + cls.b1
@@ -253,14 +276,14 @@ def _batched_loss_and_grads(
     out = [a1.T @ dlogits, dlogits.sum(axis=0)]
     du1 = (dlogits @ cls.w2.T) * (u1 > 0)
     out[:0] = [pooled.T @ du1, du1.sum(axis=0)]
-    csr_matmul(batch.pool_t, du1 @ cls.w1.T, out=batch.dh[-1])
+    dz = csr_matmul(batch.pool_t, du1 @ cls.w1.T, out=h)
     for k in range(len(m.layers) - 1, -1, -1):
-        dz = batch.dh[k]
-        dz *= batch.h[k] > 0  # relu(z) > 0 exactly where z > 0
+        dz *= batch.active[k]
         out[:0] = [batch.msgs[k].T @ dz, dz.sum(axis=0)]
         if k > 0:
-            np.matmul(dz, m.layers[k].weight.T, out=batch.back[k])
-            csr_matmul(batch.norm_t, batch.back[k], out=batch.dh[k - 1])
+            np.matmul(dz, m.layers[k].weight.T, out=batch.msgs[k])
+            dz = batch.node_view(batch.msgs[k].shape[1])
+            csr_matmul(batch.norm_t, batch.msgs[k], out=dz)
     return loss, accuracy, dict(zip(m.parameter_arrays(), out))
 
 

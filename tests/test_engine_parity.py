@@ -171,6 +171,23 @@ def test_csr_matmul_is_scipy_product(index_dtype, d):
     np.testing.assert_array_equal(csr_matmul(t_op, g), a.T @ g)
 
 
+def test_csr_matmul_rejects_out_overlapping_h():
+    """csr_matmul zeroes `out` before its kernel reads `h`, so an `out`
+    that overlaps `h` would give zeros: it is refused, as `h` itself and as
+    a view into `h`'s memory. A disjoint part of the same buffer is fine."""
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    op = models.CSR(np.array([0, 2, 4]), np.array([0, 1, 0, 1]), a.ravel(), a.shape)
+    buffer = np.ones(8)
+    h = buffer[:4].reshape(2, 2)
+    for overlapping in (h, buffer[2:6].reshape(2, 2)):
+        with pytest.raises(ValueError, match="share memory"):
+            csr_matmul(op, h, out=overlapping)
+    np.testing.assert_array_equal(h, np.ones((2, 2)))
+    disjoint = buffer[4:].reshape(2, 2)
+    assert csr_matmul(op, h, out=disjoint) is disjoint
+    np.testing.assert_array_equal(disjoint, [[3.0, 3.0], [7.0, 7.0]])
+
+
 def matmul_pooled(m, operator, features, kept=None):
     """forward_dense's pass as written with the @ operator, each product
     first checked bitwise against the np.dot call forward_dense makes."""

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,11 +76,21 @@ class TestConfig:
             ("epochs", True, "epochs must be an integer"),
             ("seed", 1.5, "seed must be an integer"),
             ("init_scale", float("nan"), "init_scale must be finite"),
+            ("target_train_accuracy", float("nan"), "target_train_accuracy must be a real"),
+            ("target_train_accuracy", -1.0, "target_train_accuracy must be a real"),
+            ("target_train_accuracy", True, "target_train_accuracy must be a real"),
+            ("target_train_accuracy", "x", "target_train_accuracy must be a real"),
         ],
     )
     def test_rejects_non_integer_counts_and_nan_scale(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("target", [0.0, 0.5, 1.0, 2.0, math.inf])
+    def test_accepts_any_target_accuracy_from_zero_up(self, target):
+        # Above 1 the early stop never fires: the benchmark and the parity
+        # tests train a fixed epoch budget with math.inf.
+        assert TrainConfig(target_train_accuracy=target).target_train_accuracy == target
 
 
 class TestGradients:
@@ -249,8 +262,35 @@ class TestTrainGCN:
             [],
             [record(g, 2)],
             [record(g, -1)],
+            [record(g, 1.0)],
+            [record(g, 0.5)],
+            [record(g, True)],
             [record(g, 0), record(g4, 1)],
             [record(g, 0), record(empty, 1)],
         ):
             with pytest.raises(DataFormatError):
                 train_gcn(ds, ARCH, TrainConfig(epochs=1))
+
+    def test_epoch_working_set(self):
+        """The traced peak of training stays near what an epoch must hold:
+        a message array per layer, whose weight gradient reads it, one node
+        buffer for the activation and then the gradient at hand, and a
+        boolean ReLU mask per layer, each n_total x hidden. The slack, the
+        size of two more float node arrays, covers the operators, the
+        features and the per-layer products. An array of its own for each
+        activation and each gradient, eleven node arrays here, would peak
+        at 1.9 times this bound."""
+        corpus = gen_ba2motifs_mini(n_graphs=200, base_nodes=5, seed=7)
+        arch = {"num_layers": 3, "hidden_dim": 32, "num_classes": 2}
+        cfg = TrainConfig(epochs=3, seed=7, target_train_accuracy=math.inf)
+        train_gcn(corpus, arch, cfg)  # loads the CSR kernel untraced
+        tracemalloc.start()
+        try:
+            train_gcn(corpus, arch, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        node_array = sum(rec.graph.n for rec in corpus) * arch["hidden_dim"]
+        layers = arch["num_layers"]
+        bound = 8 * node_array * (layers + 1) + node_array * layers + 8 * node_array * 2
+        assert peak < bound, (peak, bound)
