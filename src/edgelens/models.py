@@ -280,11 +280,19 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-# Byte budget of one chunk: an operator stack holds about one matrix at
-# n = 205 and about 650 at n = 10, a (b, nnz) CSR value matrix about 100
-# rows at n = 205; explain.py bounds each batch of (b, E) edge-weight rows
-# by it too.
+# Byte budget of one dense chunk: an operator stack holds about one matrix
+# at n = 205 and about 650 at n = 10. explain.py bounds each batch of
+# (b, E) edge-weight rows by it too, 318 rows at n = 205.
 STACK_BYTES = 1 << 19
+
+# Row cap of one CSR chunk, which also stays within STACK_BYTES. csr_values
+# holds about five (b, nnz) arrays at once: 2.6 MB at the 106 rows that
+# STACK_BYTES alone allows at n = 205 (nnz 617), 0.4 MB at 16. Measured on
+# explain at n = 205, 3-layer 32-wide models, one BLAS thread: the time per
+# row is the same within noise for caps of 4 to 106; a chunk's fixed cost,
+# about 45 us, is about 3% of its 16 passes of about 100 us; the minor page
+# faults per GCN call fall from about 2,900 at 106 rows to 225 at 16.
+CSR_CHUNK_ROWS = 16
 
 # forward_rows takes the CSR path when a graph's stored entries 2|E| + n
 # fill less than this share of its n^2 dense cells. Measured per pass of
@@ -450,15 +458,16 @@ def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
 def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over all n nodes of every row: one CSR of the
     pattern, its values swapped in row by row from csr_values chunks of
-    at most STACK_BYTES, one readout per chunk. A dropped node's entries
-    to and from kept nodes are 0, and forward_dense pools the kept nodes
-    only (a row that keeps every node pools h itself, without a copy), so
-    each row is bitwise the CSR pass of its standalone graph."""
+    at most CSR_CHUNK_ROWS rows and STACK_BYTES, one readout per chunk. A
+    dropped node's entries to and from kept nodes are 0, and forward_dense
+    pools the kept nodes only (a row that keeps every node pools h itself,
+    without a copy), so each row is bitwise the CSR pass of its standalone
+    graph."""
     gcn = m.conv_kind == "gcn"
     rows, cols, _ = pattern
     op = csr_operator(rows, cols, np.zeros(len(cols)), (g.n, g.n))
     biases = tiled_biases(m, g.n)
-    step = max(1, STACK_BYTES // (8 * max(1, len(cols))))
+    step = max(1, min(CSR_CHUNK_ROWS, STACK_BYTES // (8 * max(1, len(cols)))))
     out = np.empty((len(weights), m.num_classes))
     width = m.classifier.w1.shape[0]
     for lo in range(0, len(weights), step):
@@ -476,13 +485,24 @@ def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
 def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """forward_rows input for the standalone graphs made of the edges set in
     each row of the boolean (B, E) `kept`: the kept edges' weights, and the
-    endpoints of the kept edges, or every node, isolated, when none is kept."""
+    endpoints of the kept edges, or every node, isolated, when none is kept.
+
+    A node is kept when any of its edges is: the columns of `kept` are
+    gathered once with each edge under both its ends, sorted by node, and
+    each node's run of them is or-reduced. Only boolean (B, 2E) arrays are
+    made, no index array per kept edge."""
     weights = np.where(kept, g.edge_weight, 0.0)
     nodes = np.zeros((len(kept), g.n), dtype=bool)
-    row, e = np.nonzero(kept)
-    nodes[row, g.edge_u[e]] = True
-    nodes[row, g.edge_v[e]] = True
-    nodes[~kept.any(axis=1)] = True
+    if g.num_undirected_edges:
+        ends = np.concatenate((g.edge_u, g.edge_v))
+        count = np.bincount(ends, minlength=g.n)
+        touched = np.flatnonzero(count)
+        starts = (np.cumsum(count) - count)[touched]
+        # numpy's default argsort maps about 256 KB of SIMD sort code that
+        # no other pass touches; the stable sort shares csr_pattern's.
+        by_node = np.argsort(ends, kind="stable") % g.num_undirected_edges
+        nodes[:, touched] = np.logical_or.reduceat(kept[:, by_node], starts, axis=1)
+    nodes[~nodes.any(axis=1)] = True
     return weights, nodes
 
 

@@ -749,3 +749,37 @@ def test_dense_graph_ig_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * STACK_BYTES
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_csr_explanation_working_set(kind, monkeypatch):
+    """The traced peak of a 205-node explanation stays near what it must
+    hold: one search batch of (b, E) float weights within STACK_BYTES with
+    its boolean kept rows, node masks and gathered edge ends, about five
+    (CSR_CHUNK_ROWS, nnz) csr_values arrays, the tiled biases and a few
+    (n, hidden) activations. Measured: 1.13 MiB for the GCN (bound 1.54
+    MiB) and 1.16 MiB for the GIN (1.56 MiB). Chunks of the 106 rows that
+    STACK_BYTES alone allows, and the index arrays of np.nonzero in
+    subgraph_rows, peaked at 3.27 and 2.19 MiB."""
+    m = MODELS[kind]()
+    g = ba_graph(200, seed=33, weighted=False)
+    assert takes_csr_path(g)
+    explain(m, g)  # loads the CSR kernel untraced
+    tracemalloc.start()
+    try:
+        explain(m, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, num_edges = g.n, g.num_undirected_edges
+    nnz = 2 * num_edges + (n if kind == "gcn" else 0)
+    rows = STACK_BYTES // (8 * num_edges)
+    batch = 8 * rows * num_edges + rows * (4 * num_edges + n)
+    chunk = 5 * 8 * models.CSR_CHUNK_ROWS * nnz
+    biases = sum(b.nbytes for layer in models.tiled_biases(m, n) for b in layer)
+    activations = 4 * 8 * n * m.classifier.w1.shape[0]
+    bound = batch + chunk + biases + activations
+    assert peak < bound, (peak, bound)
+    built = record_builds(monkeypatch, "csr_values")
+    explain(m, g)
+    assert max(b for _, b in built) == models.CSR_CHUNK_ROWS

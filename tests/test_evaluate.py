@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from edgelens import (
     rank_edges,
 )
 from edgelens.data import DatasetRecord
+from edgelens import evaluate as evaluate_module
 from edgelens.evaluate import format_table, write_report
 from edgelens.explain import score_edges
 from conftest import gin_model, path_graph, random_graph, random_model
@@ -93,7 +95,7 @@ class TestFidelityCurve:
         for level in levels:
             fplus_sum = fminus_sum = 0.0
             for g, c, original, ranked in rankings:
-                prefix = ranked[: math.ceil((1.0 - level) * g.num_undirected_edges)]
+                prefix = ranked[: math.ceil((1 - Decimal(str(level))) * g.num_undirected_edges)]
                 fplus_sum += fidelity_plus(model, g, prefix, c, original=original)
                 fminus_sum += fidelity_minus(model, g, prefix, c, original=original)
             expected.append(
@@ -109,6 +111,28 @@ class TestFidelityCurve:
     def test_empty_dataset_is_undefined(self, model):
         with pytest.raises(UndefinedMetricError):
             fidelity_curve(model, [], "linear-gradient", [0.5])
+
+    def test_prefix_sizes_follow_decimal_levels(self, model, monkeypatch):
+        """Level 0.1 j keeps ceil((10 - j) E / 10) edges, computed in
+        integers. Float arithmetic gives (1 - 0.7) * 10 = 3.0000000000000004
+        and keeps 4 of 10 edges at the CLI's default level 0.7."""
+        levels = [j / 10 for j in range(1, 10)]
+        seen = []
+
+        def recorded(m, g, ranked, sizes, target_class, original):
+            seen.append((g.num_undirected_edges, list(sizes)))
+            return drops(m, g, ranked, sizes, target_class, original)
+
+        drops = evaluate_module._prefix_drops
+        monkeypatch.setattr(evaluate_module, "_prefix_drops", recorded)
+        records = [
+            DatasetRecord(path_graph(e, 3), 0, (0,) * e, 0) for e in (10, 11, 25, 206)
+        ]
+        fidelity_curve(model, records, "linear-gradient", levels)
+        assert seen == [
+            (e, [-(-(10 - j) * e // 10) for j in range(1, 10)]) for e in (10, 11, 25, 206)
+        ]
+        assert seen[0][1][6] == 3
 
 
 class TestCompareMethods:

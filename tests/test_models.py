@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from edgelens import (
     Graph,
     ModelFormatError,
     ModelSpec,
+    fidelity_minus,
+    fidelity_plus,
     forward,
     forward_on_induced,
     induce_by_edges,
@@ -22,6 +25,7 @@ from edgelens.models import (
     GINLayer,
     model_from_json,
     model_to_json,
+    subgraph_rows,
 )
 
 from conftest import gin_model, random_graph, random_model, reweighted
@@ -240,6 +244,59 @@ class TestForwardOnInduced:
         a = forward_on_induced(small_model, s)
         zeroed = forward(small_model, path3, weights=np.zeros(2))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
+
+
+def endpoint_union(g, kept_row):
+    """Reference node mask of one subgraph_rows row: the endpoints of the
+    kept edges, or every node when no edge is kept."""
+    nodes = np.zeros(g.n, dtype=bool)
+    for e in np.flatnonzero(kept_row):
+        nodes[list(g.undirected_endpoints(e))] = True
+    return nodes if nodes.any() else np.ones(g.n, dtype=bool)
+
+
+class TestSubgraphRows:
+    def assert_matches_reference(self, g, kept):
+        weights, nodes = subgraph_rows(g, kept)
+        np.testing.assert_array_equal(weights, np.where(kept, g.edge_weight, 0.0))
+        np.testing.assert_array_equal(nodes, [endpoint_union(g, row) for row in kept])
+
+    def test_random_rows_are_the_endpoint_union(self):
+        rng = np.random.default_rng(80)
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=12, max_extra_edges=10)
+            num_edges = g.num_undirected_edges
+            kept = rng.uniform(size=(30, num_edges)) < rng.uniform(size=(30, 1))
+            kept[0], kept[1] = False, True
+            self.assert_matches_reference(g, kept)
+
+    def test_isolated_node_is_kept_only_in_an_empty_row(self):
+        # Node 4 has no edge; nodes 1 and 2 have three and two.
+        g = Graph.undirected(np.ones((5, 2)), [(0, 1), (1, 2), (2, 3), (1, 3)])
+        kept = np.array([[False] * 4, [True] * 4, [False, True, False, False],
+                         [True, False, False, True]])
+        self.assert_matches_reference(g, kept)
+        _, nodes = subgraph_rows(g, kept)
+        assert nodes[:, 4].tolist() == [True, False, False, False]
+
+    def test_edgeless_graph_keeps_every_node(self, monkeypatch):
+        """fidelity_plus and fidelity_minus of an edgeless graph evaluate
+        rows of no edge columns: each keeps every node, isolated, as the
+        original pass does, so both drops are exactly 0."""
+        g = Graph.undirected(np.arange(6.0).reshape(3, 2), [])
+        m = random_model(np.random.default_rng(81), feature_dim=2)
+        explain_module = sys.modules["edgelens.explain"]
+        rows = []
+
+        def recorded(g, kept):
+            out = subgraph_rows(g, kept)
+            rows.append((kept.shape, out[1].tolist()))
+            return out
+
+        monkeypatch.setattr(explain_module, "subgraph_rows", recorded)
+        assert fidelity_plus(m, g, [], 0) == 0.0
+        assert fidelity_minus(m, g, [], 0) == 0.0
+        assert rows == [((1, 0), [[True] * 3])] * 2
 
 
 class TestModelIO:
