@@ -25,7 +25,7 @@ from .explain import (
     rank_edges,
     score_edges,
 )
-from .graphs import is_real
+from .graphs import is_integer, is_real
 from .models import ModelSpec, forward
 
 
@@ -143,7 +143,13 @@ class OracleReport:
 
 def oracle_report(m: ModelSpec, dataset, cap: int = 14) -> OracleReport:
     """Exhaustive best vs prefix-search best per instance; the oracle can
-    never lose, the report shows by how much it wins."""
+    never lose, the report shows by how much it wins. A `cap` that is not
+    an integer raises ValueError before any pass, and one below 1, which
+    no graph with an edge fits, UndefinedMetricError."""
+    if not is_integer(cap):
+        raise ValueError(f"cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise UndefinedMetricError(f"cap {cap} admits no graph with an edge; nothing to evaluate")
     gaps = []
     ratios = []
     skipped = 0

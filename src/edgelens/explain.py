@@ -22,6 +22,7 @@ from .errors import (
 from .graphs import (
     Graph,
     InducedSubgraph,
+    check_count,
     edge_mask,
     induce_by_edges,
     is_integer,
@@ -191,10 +192,7 @@ def ig_edge_scores(
     are summed in step order.
     """
     target_class = _target(m, target_class)
-    if not is_integer(steps):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_count("steps", steps)
     num_edges = g.num_undirected_edges
     path = np.array([(j / steps) * g.edge_weight for j in range(steps + 1)])
     # Step j is rows (j - 1)(E + 1) .. j(E + 1) - 1 on path point j: its
@@ -423,7 +421,9 @@ def brute_force_best_subgraph(
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustive argmax of overall fidelity over every nonempty undirected
     edge subset; ties go to the lexicographically smallest subset. A graph
-    without edges has no such subset: UndefinedMetricError."""
+    without edges has no such subset: UndefinedMetricError. A `cap` that is
+    not an integer >= 1 raises ValueError before any pass."""
+    check_count("cap", cap)
     target_class = _target(m, target_class)
     num_edges = g.num_undirected_edges
     if num_edges < 1:

@@ -146,6 +146,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, least: int = 1) -> None:
+    """ValueError unless `value`, the named count, is an integer (not a
+    bool) >= least."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def number_array(value) -> np.ndarray:
     """A JSON value as a float64 array. ValueError unless it is a number or
     equal-length lists, nested to any depth, of JSON numbers: ints and

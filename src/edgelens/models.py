@@ -218,8 +218,9 @@ def forward_dense(
     """The (d,) pooled embedding of one pass of m's conv layers over a
     prebuilt (s, s) operator, a dense array or a CSR: the normalization
     D^-1/2 (A + I) D^-1/2 for a GCN, A itself for a GIN. `biases` are
-    tiled_biases(m, s), which the caller makes once for all its rows of s
-    nodes. With the boolean (s,) `kept`, only the kept nodes are pooled.
+    tiled_biases(m, s), or the first s rows of a larger tiling, which the
+    caller makes once per call. With the boolean (s,) `kept`, only the
+    kept nodes are pooled.
     forward_rows applies the classifier to a chunk's pooled rows with
     readout, and takes the softmax and checks the logits once per batch.
 
@@ -378,12 +379,19 @@ def weighted_adjacency(
     g's csr_pattern `pattern` whose two endpoints it keeps, each at their
     positions among its kept nodes; every other cell is 0. So the dense
     path, the CSR path and the trainer take every operator entry from the
-    one function.
+    one function. When the rows keep every node (s = n), every row's
+    values go to the same flat cells rows * n + cols, with no remapping
+    and no (b, nnz) index arrays.
     """
     rows, cols, _ = pattern
     b, s = len(nodes), int(nodes[0].sum())
-    size = b * s * s
     values = csr_values(g, pattern, weights, nodes, gcn)
+    if s == g.n:
+        # Every node kept: each row's entries sit at the same flat cells.
+        stack = np.zeros((b, s * s))
+        stack[:, rows * s + cols] = values
+        return stack.reshape(b, s, s)
+    size = b * s * s
     # pos[i, v]: node v's index among row i's kept nodes, or `size` for a
     # dropped node, so that an entry's flat offset in the stack is past
     # its end exactly when it touches a dropped node; all of those land
@@ -410,10 +418,14 @@ def forward_rows(
     is built once per call. On a graph whose stored entries fill less than
     CSR_MAX_FILL of the dense cells, every row runs over all n nodes
     through one CSR operator (see _csr_forward_rows). Otherwise rows are
-    grouped by node count, and each group's dense operators are laid out
-    by weighted_adjacency, a chunk at a time. forward_dense runs once per
-    row and returns its pooled embedding, readout turns a chunk's pooled
-    rows into logits, and softmax_rows runs once per call.
+    grouped by node count, ascending, from np.bincount of the counts (not
+    np.unique, which imports numpy.ma on numpy 2.4: 1.1-1.5 MB of memory),
+    and each group's dense operators are laid out by weighted_adjacency, a
+    chunk at a time. The biases are tiled once per call, and a row that
+    keeps every node reads g.features itself rather than a gathered copy.
+    forward_dense runs once per row and returns its pooled embedding,
+    readout turns a chunk's pooled rows into logits, and softmax_rows runs
+    once per call.
 
     A model whose finite parameters overflow float64 raises
     NumericalFailureError from softmax_rows, with no numpy warning: the
@@ -435,19 +447,26 @@ def forward_rows(
 def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
     """forward_rows' logits over each row's kept nodes only: rows grouped by
     node count, each chunk's (b, s, s) operator stack and its (b, nnz)
-    csr_values within STACK_BYTES, one readout per chunk."""
+    csr_values within STACK_BYTES, one readout per chunk. The biases are
+    tiled for the largest node count; a group of s nodes adds their first
+    s rows, C-contiguous views with the values of an (s, d) tiling."""
     gcn = m.conv_kind == "gcn"
     sizes = nodes.sum(axis=1)
     out = np.empty((len(sizes), m.num_classes))
     width = m.classifier.w1.shape[0]
-    for s in np.unique(sizes).tolist():
+    tiled = tiled_biases(m, int(sizes.max(initial=0)))
+    # np.unique would import numpy.ma (numpy 2.4), 1.1-1.5 MB of RSS.
+    for s in np.flatnonzero(np.bincount(sizes)).tolist():
         group = np.flatnonzero(sizes == s)
-        biases = tiled_biases(m, s)
+        biases = [[b[:s] for b in layer] for layer in tiled]
         step = max(1, STACK_BYTES // (8 * max(s * s, len(pattern[0]))))
         for lo in range(0, len(group), step):
             rows = group[lo : lo + step]
             ops = weighted_adjacency(g, pattern, weights[rows], nodes[rows], gcn)
-            feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
+            if s == g.n:
+                feats = [g.features] * len(rows)
+            else:
+                feats = g.features[np.nonzero(nodes[rows])[1].reshape(len(rows), s)]
             pooled = np.empty((len(rows), width))
             for i, (op, x) in enumerate(zip(ops, feats)):
                 pooled[i] = forward_dense(m, op, x, biases)

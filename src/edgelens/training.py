@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, NumericalFailureError
-from .graphs import Graph, is_integer, is_real
+from .graphs import Graph, check_count, is_integer, is_real
 from .models import (
     CSR,
     Classifier,
@@ -26,18 +26,10 @@ from .models import (
 )
 
 
-def _check_count(name: str, value, least: int = 1) -> None:
-    """ValueError unless `value` is an integer (not a bool) >= least."""
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 def _check_init(seed, init_scale) -> None:
     """ValueError unless seed is an integer >= 0 and init_scale a finite
     real >= 0."""
-    _check_count("seed", seed, least=0)
+    check_count("seed", seed, least=0)
     if not (is_real(init_scale) and 0.0 <= init_scale < np.inf):
         raise ValueError(f"init_scale must be finite and >= 0, got {init_scale!r}")
 
@@ -56,7 +48,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (is_real(self.learning_rate) and 0.0 <= self.learning_rate < np.inf):
             raise ValueError("learning_rate must be finite and >= 0")
-        _check_count("epochs", self.epochs)
+        check_count("epochs", self.epochs)
         if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError("momentum must be in [0, 1)")
         _check_init(self.seed, self.init_scale)
@@ -113,7 +105,7 @@ def init_gcn(
         ("hidden_dim", hidden_dim),
         ("num_classes", num_classes),
     ):
-        _check_count(name, value)
+        check_count(name, value)
     _check_init(seed, init_scale)
     rng = np.random.default_rng(seed)
 
@@ -296,7 +288,7 @@ def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
     epochs run with overflow and invalid operations ignored.
     """
     # The dataset check compares labels with num_classes, so it goes first.
-    _check_count("num_classes", arch["num_classes"])
+    check_count("num_classes", arch["num_classes"])
     model = init_gcn(
         input_dim=_check_dataset(dataset, arch["num_classes"]),
         num_layers=arch["num_layers"],

@@ -80,6 +80,24 @@ class TestBa2MotifsMini:
         with pytest.raises(ValueError):
             gen_ba2motifs_mini(2, base_nodes=4)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_graphs": -1}, "n_graphs must be >= 0"),
+            ({"n_graphs": True}, "n_graphs must be an integer"),
+            ({"n_graphs": 2.0}, "n_graphs must be an integer"),
+            ({"base_nodes": 6.0}, "base_nodes must be an integer"),
+            ({"base_nodes": True}, "base_nodes must be an integer"),
+        ],
+    )
+    def test_bad_counts_rejected(self, kwargs, message):
+        # -1 gave an empty corpus, True one graph, the floats a bare TypeError.
+        with pytest.raises(ValueError, match=message):
+            gen_ba2motifs_mini(**{"n_graphs": 2, **kwargs})
+
+    def test_zero_graphs_is_empty(self):
+        assert gen_ba2motifs_mini(0) == []
+
 
 class TestVarsizeMotifs:
     def test_class0_has_no_flags(self):
@@ -107,6 +125,23 @@ class TestVarsizeMotifs:
             assert len(comps) == rec.motif_count
             for nodes, edges in comps:
                 assert len(nodes) == 3 and len(edges) == 2
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_graphs": -1}, "n_graphs must be >= 0"),
+            ({"n_graphs": 2.0}, "n_graphs must be an integer"),
+            ({"max_motifs": 1.5}, "max_motifs must be an integer"),
+            ({"max_motifs": True}, "max_motifs must be an integer"),
+            ({"max_motifs": 0}, "max_motifs must be >= 1"),
+            ({"base_nodes": 3.0}, "base_nodes must be an integer"),
+            ({"base_nodes": 1}, "base_nodes must be >= 2"),
+        ],
+    )
+    def test_bad_counts_rejected(self, kwargs, message):
+        # max_motifs=1.5 ran, the float counts gave a bare TypeError.
+        with pytest.raises(ValueError, match=message):
+            gen_varsize_motifs(**{"n_graphs": 2, **kwargs})
 
     def test_mask_length_matches_edges(self):
         for rec in gen_varsize_motifs(30, seed=9):
@@ -173,7 +208,8 @@ class TestEdgeMaskAuc:
 
     def test_bitwise_equal_to_scipy_average_ranks(self):
         """The numpy tie-group ranks give exactly the AUC that scipy's
-        average ranks give, ties between -0.0 and 0.0 included."""
+        average ranks give, ties between -0.0 and 0.0 included, and that
+        the tie groups of np.unique give."""
         from scipy.stats import rankdata
 
         rng = np.random.default_rng(62)
@@ -191,6 +227,8 @@ class TestEdgeMaskAuc:
                 (ranks[mask == 1].sum() - pos * (pos + 1) / 2) / (pos * (n - pos))
             )
             assert edge_mask_auc(scores, mask) == expected
+            _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+            assert np.array_equal((np.cumsum(counts) - 0.5 * (counts - 1))[inverse], ranks)
 
 
 class TestDatasetIO:

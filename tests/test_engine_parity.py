@@ -783,3 +783,34 @@ def test_csr_explanation_working_set(kind, monkeypatch):
     built = record_builds(monkeypatch, "csr_values")
     explain(m, g)
     assert max(b for _, b in built) == models.CSR_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_dense_explanation_working_set(kind):
+    """The traced peak of an IG explanation of a frozen-corpus graph stays
+    near what it must hold. Its 50 (E + 1) scoring rows keep every node and
+    go through one forward_rows call, a chunk of at most STACK_BYTES //
+    (8 n^2) rows at a time: the chunk's (b, n, n) operator stack, two
+    (b, nnz) csr_values arrays, two (b, hidden) arrays for the pooled rows
+    and the classifier's hidden layer, and two copies of the (rows, E)
+    weights. Measured: 0.93 MiB for the GCN (bound 1.14 MiB) and 0.94 MiB
+    for the GIN (1.05 MiB). A (b, n, d) gathered copy of the features per
+    chunk, np.tile per group and the cell index arrays of the general
+    weighted_adjacency layout peaked at 1.38 and 1.39 MiB."""
+    m = MODELS[kind]()
+    g = gen_ba2motifs_mini(n_graphs=200, base_nodes=5, seed=7)[0].graph
+    assert not takes_csr_path(g)
+    explain(m, g, method="ig")
+    tracemalloc.start()
+    try:
+        explain(m, g, method="ig")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, num_edges = g.n, g.num_undirected_edges
+    nnz = 2 * num_edges + (n if kind == "gcn" else 0)
+    rows = 50 * (num_edges + 1)
+    chunk = min(rows, STACK_BYTES // (8 * n * n))
+    hidden = m.classifier.w1.shape[0]
+    bound = 8 * chunk * (n * n + 2 * nnz + 2 * hidden) + 2 * 8 * rows * num_edges
+    assert peak < bound, (peak, bound)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from edgelens import (
+    Graph,
     UndefinedMetricError,
     compare_methods,
     explain,
@@ -176,6 +177,20 @@ class TestOracleReport:
     def test_empty_dataset_is_undefined(self, model):
         with pytest.raises(UndefinedMetricError):
             oracle_report(model, [])
+
+    @pytest.mark.parametrize("cap", [2.5, True, "14", None])
+    def test_non_integer_cap_rejected(self, model, mini_dataset, forward_dense_calls, cap):
+        # "14" raised a bare TypeError, True read as a cap of 1 edge and 2.5
+        # as one of 2.
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            oracle_report(model, mini_dataset, cap=cap)
+        assert forward_dense_calls == []
+
+    def test_cap_below_one_runs_no_pass(self, model, forward_dense_calls):
+        edgeless = DatasetRecord(Graph.undirected(np.ones((2, 3)), []), 0, (), 0)
+        with pytest.raises(UndefinedMetricError, match="nothing to evaluate"):
+            oracle_report(model, [edgeless], cap=0)
+        assert forward_dense_calls == []
 
 
 class TestDotExport:

@@ -402,6 +402,14 @@ class TestOracle:
             brute_force_best_subgraph(small_model, g, 0)
         assert forward_dense_calls == []
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, 10.5, True, "14", None])
+    def test_bad_cap_rejected(self, triangle, small_model, forward_dense_calls, cap):
+        # 10.5 enumerated, -1 and 0 read as "too many edges", "14" raised a
+        # bare TypeError.
+        with pytest.raises(ValueError, match="cap must be"):
+            brute_force_best_subgraph(small_model, triangle, 0, cap=cap)
+        assert forward_dense_calls == []
+
 
 class TestSerialization:
     def test_stable_output(self, small_model):

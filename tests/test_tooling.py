@@ -73,9 +73,11 @@ def test_import_loads_neither_scipy_stats_nor_click():
         assert [m for m in loaded if m == package or m.startswith(package + ".")] == []
 
 
-# Explanations, method and oracle reports of two frozen-corpus graphs, which
-# take the dense path; then the CSR path: a 205-node explanation and two
-# epochs of training. `loaded` records, after each, the scipy modules loaded.
+# Explanations, method and oracle reports, a fidelity curve and motif AUCs
+# of two frozen-corpus graphs, which take the dense path; then the CSR path:
+# a 205-node explanation and two epochs of training. `loaded` records, after
+# each, the scipy modules loaded, and `numpy_ma` the numpy.ma modules loaded
+# by the end.
 DENSE_THEN_CSR = """
 import sys
 import edgelens as el
@@ -85,10 +87,13 @@ from edgelens.models import model_to_json
 ARCH = {"num_layers": 3, "hidden_dim": 32, "num_classes": 2}
 corpus = el.gen_ba2motifs_mini(n_graphs=200, base_nodes=5, seed=7)[:2]
 m = el.init_gcn(input_dim=10, num_layers=3, hidden_dim=32, num_classes=2, seed=3)
+explanations = [el.explain(m, rec.graph) for rec in corpus]
 out = {
-    "explain": [explanation_to_json(el.explain(m, rec.graph)) for rec in corpus],
+    "explain": [explanation_to_json(e) for e in explanations],
     "methods": repr(el.compare_methods(m, corpus)),
     "oracle": repr(el.oracle_report(m, corpus)),
+    "curve": repr(el.fidelity_curve(m, corpus, "ig", [0.0, 0.5, 0.9])),
+    "auc": [el.edge_mask_auc(e.scores, rec.gt_edge_mask) for e, rec in zip(explanations, corpus)],
 }
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
@@ -99,10 +104,19 @@ loaded.append(scipy_modules())
 cfg = el.TrainConfig(epochs=2, seed=7)
 out["model"] = model_to_json(el.train_gcn(corpus, ARCH, cfg).model)
 loaded.append(scipy_modules())
+numpy_ma = sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"])
 """
 
 
-def test_dense_path_never_loads_scipy_sparse():
+@pytest.fixture(scope="module")
+def dense_then_csr():
+    """DENSE_THEN_CSR's out, loaded and numpy_ma, run by a fresh
+    interpreter."""
+    code = DENSE_THEN_CSR + "import json\nprint(json.dumps([out, loaded, numpy_ma]))"
+    return json.loads(fresh_python(code))
+
+
+def test_dense_path_never_loads_scipy_sparse(dense_then_csr):
     """A process on the dense path loads no scipy module at all. The CSR
     path and the trainer load scipy's compiled CSR kernel and no other
     scipy module: neither scipy's package nor scipy.sparse. The outputs of
@@ -110,13 +124,18 @@ def test_dense_path_never_loads_scipy_sparse():
     scipy.sparse was loaded first."""
     import scipy.sparse  # noqa: F401
 
-    fresh = json.loads(
-        fresh_python(DENSE_THEN_CSR + "import json\nprint(json.dumps([out, loaded]))")
-    )
     here: dict = {}
     exec(DENSE_THEN_CSR, here)
     kernel = ["scipy.sparse._sparsetools"]
-    assert fresh == [here["out"], [[], kernel, kernel]]
+    assert dense_then_csr[:2] == [here["out"], [[], kernel, kernel]]
+
+
+def test_library_never_loads_numpy_ma(dense_then_csr):
+    """No library function imports numpy.ma, which np.unique does on numpy
+    2.4 and which costs a process 1.1-1.5 MB of memory: not the dense or
+    CSR passes, the reports, the fidelity curve, the motif AUC or the
+    trainer."""
+    assert dense_then_csr[2] == []
 
 
 def test_scipy_sparse_reuses_the_loaded_kernel():
