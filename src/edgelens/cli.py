@@ -34,11 +34,18 @@ def _guard(fn):
 
 def _comma_list(item_type: click.ParamType):
     """Callback parsing a comma-separated option value item by item, so a
-    bad item is a usage error naming the option."""
+    bad item, a repeated one or a list with none is a usage error naming
+    the option."""
 
     def parse(ctx, param, value):
         items = [s.strip() for s in value.split(",")]
-        return [item_type.convert(s, param, ctx) for s in items if s]
+        items = [item_type.convert(s, param, ctx) for s in items if s]
+        if not items:
+            raise click.BadParameter("the list is empty", ctx, param)
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise click.BadParameter(f"{repeated[0]!r} is given twice", ctx, param)
+        return items
 
     return parse
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, UndefinedMetricError
-from .graphs import Graph, _graph_from_obj, _graph_to_obj, check_count
+from .graphs import Graph, _graph_from_obj, _graph_to_obj, check_count, is_integer
 
 FEATURE_DIM = 10
 
@@ -24,16 +24,41 @@ PENTAGON_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
 STAR_EDGES = [(0, 1), (0, 2)]  # center + two leaves
 
 
+def _non_negative_int(name: str, value) -> int:
+    """`value` as an int; DataFormatError unless it is an integer (not a
+    bool) >= 0."""
+    if not (is_integer(value) and value >= 0):
+        raise DataFormatError(f"{name} {value!r} is not an integer >= 0")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
+    """A graph with its class label and ground truth, the one home of the
+    label. The label and motif_count are integers >= 0 and the mask entries
+    the integers 0 and 1, each stored as an int whatever integer type it
+    came as, so every record saves and loads back."""
+
     graph: Graph
     label: int
     gt_edge_mask: tuple[int, ...]  # 1 = planted motif edge
     motif_count: int
 
     def __post_init__(self):
-        if len(self.gt_edge_mask) != self.graph.num_undirected_edges:
+        object.__setattr__(self, "label", _non_negative_int("label", self.label))
+        mask = self.gt_edge_mask
+        # Set-based checks: a generator makes one record per graph.
+        if not set(map(type, mask)) <= {int}:
+            if not all(map(is_integer, mask)):
+                raise DataFormatError(f"gt_edge_mask {mask!r} holds a non-integer")
+            mask = map(int, mask)
+        mask = tuple(mask)
+        if not set(mask) <= {0, 1}:
+            raise DataFormatError(f"gt_edge_mask {mask!r} holds an entry other than 0 and 1")
+        if len(mask) != self.graph.num_undirected_edges:
             raise DataFormatError("gt_edge_mask length != undirected edge count")
+        object.__setattr__(self, "gt_edge_mask", mask)
+        object.__setattr__(self, "motif_count", _non_negative_int("motif_count", self.motif_count))
 
 
 def _ba_tree_edges(num_nodes: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -85,7 +110,7 @@ def gen_ba2motifs_mini(
         features = np.ones((base_nodes + 5, FEATURE_DIM))
         records.append(
             DatasetRecord(
-                graph=Graph.undirected(features, edges, label=label),
+                graph=Graph.undirected(features, edges),
                 label=label,
                 gt_edge_mask=tuple(mask),
                 motif_count=1,
@@ -123,7 +148,7 @@ def gen_varsize_motifs(
         features = np.ones((total_nodes, FEATURE_DIM))
         records.append(
             DatasetRecord(
-                graph=Graph.undirected(features, edges, label=label),
+                graph=Graph.undirected(features, edges),
                 label=label,
                 gt_edge_mask=tuple(mask),
                 motif_count=count,
@@ -167,8 +192,12 @@ def edge_mask_auc(scores, gt_mask) -> float:
 
 
 def record_to_json(rec: DatasetRecord) -> str:
+    """One dataset line. The graph object repeats the record's label last,
+    where dataset files have always carried it."""
+    graph = _graph_to_obj(rec.graph)
+    graph["label"] = rec.label
     obj = {
-        "graph": _graph_to_obj(rec.graph),
+        "graph": graph,
         "label": rec.label,
         "gt_edge_mask": list(rec.gt_edge_mask),
         "motif_count": rec.motif_count,
@@ -184,30 +213,27 @@ def save_dataset(records, path) -> None:
             fh.write("\n")
 
 
-def _json_int(obj: dict, key: str) -> int:
-    value = obj[key]
-    if type(value) is not int:
-        raise DataFormatError(f"{key} {value!r} is not a JSON integer")
-    return value
-
-
 def _record_from_obj(obj) -> DatasetRecord:
     if not isinstance(obj, dict):
         raise DataFormatError("record is not a JSON object")
     mask = obj["gt_edge_mask"]
-    if not isinstance(mask, list) or any(type(x) is not int or x not in (0, 1) for x in mask):
-        raise DataFormatError(f"gt_edge_mask {mask!r} is not a list of JSON integers 0 and 1")
-    return DatasetRecord(
+    if not isinstance(mask, list):
+        raise DataFormatError(f"gt_edge_mask {mask!r} is not a list")
+    rec = DatasetRecord(
         graph=_graph_from_obj(obj["graph"]),
-        label=_json_int(obj, "label"),
-        gt_edge_mask=tuple(mask),
-        motif_count=_json_int(obj, "motif_count"),
+        label=obj["label"],
+        gt_edge_mask=mask,
+        motif_count=obj["motif_count"],
     )
+    graph_label = obj["graph"].get("label")
+    if graph_label not in (None, rec.label):
+        raise DataFormatError(f"label {rec.label} differs from the graph's label {graph_label}")
+    return rec
 
 
 def load_dataset(path) -> list[DatasetRecord]:
-    """Records from a JSON Lines file; label, motif_count and the 0/1
-    gt_edge_mask entries must be JSON integers. Any bad record raises
+    """Records from a JSON Lines file. A line's graph object may repeat its
+    label and must then agree with it. Any bad record raises
     DataFormatError naming its line."""
     records = []
     with open(path) as fh:

@@ -40,7 +40,8 @@ class Graph:
     features: (n, d) float64 matrix, row v is the feature vector of node v.
     edge_u, edge_v: (E,) int64 endpoints of each undirected edge, stored
         with edge_u < edge_v whichever order they were given in.
-    edge_weight: (E,) float64 edge weights in [0, 1].
+    edge_weight: (E,) float64 edge weights in [0, 1]; a -0.0 weight is
+        stored as 0.0, so every stored weight has its sign bit clear.
 
     The edge arrays are read-only. Graphs compare by identity: array fields
     would make `==` elementwise.
@@ -50,7 +51,6 @@ class Graph:
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_weight: np.ndarray
-    label: int | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -74,6 +74,7 @@ class Graph:
         if np.any(a == b):
             raise DataFormatError("self-loops are not allowed in input graphs")
         check_edge_weights(w)
+        w += 0.0  # stores -0.0 as 0.0: -0.0 + 0.0 is +0.0
         u, v = np.minimum(a, b), np.maximum(a, b)
         order = np.lexsort((v, u))
         repeated = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
@@ -108,12 +109,11 @@ class Graph:
     def undirected(
         features: np.ndarray,
         edges: Sequence[tuple[int, int]] | Sequence[tuple[int, int, float]],
-        label: int | None = None,
     ) -> "Graph":
         """Build a graph from (u, v) or (u, v, w) tuples; w defaults to 1."""
         rows = [(*e, 1.0) if len(e) == 2 else tuple(e) for e in edges]
         u, v, w = zip(*rows) if rows else ((), (), ())
-        return Graph(features, u, v, w, label)
+        return Graph(features, u, v, w)
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def graph_to_json(g: Graph) -> str:
 def _graph_to_obj(g: Graph) -> dict:
     """The JSON object of g that graph_to_json writes and a dataset record
     nests."""
-    obj = {
+    return {
         "version": GRAPH_SCHEMA_VERSION,
         "n": g.n,
         "features": g.features.tolist(),
@@ -362,9 +362,6 @@ def _graph_to_obj(g: Graph) -> dict:
         ],
         "undirected": True,
     }
-    if g.label is not None:
-        obj["label"] = g.label
-    return obj
 
 
 def graph_from_json(text: str) -> Graph:
@@ -376,6 +373,9 @@ def graph_from_json(text: str) -> Graph:
 
 
 def _graph_from_obj(obj: dict) -> Graph:
+    """The graph of a JSON object. A `label` it carries must be a JSON
+    integer and is then dropped: a graph has no label, and a dataset record
+    checks its graph's copy against its own."""
     if not isinstance(obj, dict):
         raise DataFormatError("graph record is not a JSON object")
     version = obj.get("version")
@@ -414,7 +414,7 @@ def _graph_from_obj(obj: dict) -> Graph:
         if type(w) not in (int, float):
             raise DataFormatError(f"edge {edge!r}: weight must be a JSON number")
         edges.append((u, v, float(w)))
-    return Graph.undirected(feats, edges, label=label)
+    return Graph.undirected(feats, edges)
 
 
 def load_graph(path) -> Graph:

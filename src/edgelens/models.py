@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +21,15 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DataFormatError, ModelFormatError, NumericalFailureError
-from .graphs import Graph, InducedSubgraph, check_edge_weights, edge_mask, number_array
+from .graphs import (
+    Graph,
+    InducedSubgraph,
+    check_edge_weights,
+    edge_mask,
+    is_integer,
+    is_real,
+    number_array,
+)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -46,6 +55,15 @@ class GINLayer:
     w2: np.ndarray
     b2: np.ndarray
     epsilon: float = 0.0
+
+    def __post_init__(self):
+        try:
+            eps = float(self.epsilon) if is_real(self.epsilon) else math.nan
+        except OverflowError:  # an int too large for a float
+            eps = math.inf
+        if not math.isfinite(eps):
+            raise ModelFormatError(f"GIN epsilons must be finite reals, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass(frozen=True)
@@ -80,8 +98,9 @@ class ModelSpec:
             raise ModelFormatError(f"unknown conv kind {self.conv_kind!r}")
         if self.pooling not in ("mean", "sum"):
             raise ModelFormatError(f"unknown pooling {self.pooling!r}")
-        if self.num_classes < 1:
-            raise ModelFormatError(f"num_classes {self.num_classes} < 1")
+        if not (is_integer(self.num_classes) and self.num_classes >= 1):
+            raise ModelFormatError(f"num_classes {self.num_classes!r} is not an integer >= 1")
+        object.__setattr__(self, "num_classes", int(self.num_classes))
         if not self.layers:
             raise ModelFormatError("model has no layers")
         for i, layer in enumerate(self.layers):
@@ -509,8 +528,11 @@ def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A node is kept when any of its edges is: the columns of `kept` are
     gathered once with each edge under both its ends, sorted by node, and
     each node's run of them is or-reduced. Only boolean (B, 2E) arrays are
-    made, no index array per kept edge."""
-    weights = np.where(kept, g.edge_weight, 0.0)
+    made, no index array per kept edge. The weights are kept * edge_weight:
+    a Graph stores no -0.0 weight, so a dropped edge's 0 * w is +0.0 and
+    the product has the bits of np.where(kept, edge_weight, 0.0), in about
+    a quarter of its time."""
+    weights = kept * g.edge_weight
     nodes = np.zeros((len(kept), g.n), dtype=bool)
     if g.num_undirected_edges:
         ends = np.concatenate((g.edge_u, g.edge_v))
@@ -612,13 +634,9 @@ def model_from_json(text: str) -> ModelSpec:
         eps = obj.get("epsilons", [0.0] * len(layers))
         if not isinstance(eps, list) or len(eps) != len(layers):
             raise ModelFormatError("epsilons is not a list matching the layer count")
-        if any(type(e) not in (int, float) for e in eps):
-            raise ModelFormatError(f"epsilons {eps!r} are not all JSON numbers")
         for arrays, e in zip(layers, eps):
-            arrays["epsilon"] = float(e)
+            arrays["epsilon"] = e
     cls = _arrays(obj["classifier"], Classifier.arrays, "classifier")
-    if type(obj["num_classes"]) is not int:
-        raise ModelFormatError(f"num_classes {obj['num_classes']!r} is not a JSON integer")
     return ModelSpec(
         conv_kind=kind,
         layers=tuple(layer_type(**arrays) for arrays in layers),

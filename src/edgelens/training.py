@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataFormatError, NumericalFailureError
-from .graphs import Graph, check_count, is_integer, is_real
+from .graphs import Graph, check_count, is_real
 from .models import (
     CSR,
     Classifier,
@@ -140,8 +140,6 @@ def _check_dataset(dataset, num_classes: int) -> int:
             raise DataFormatError(f"graph {i} has no nodes")
         if rec.graph.d != input_dim:
             raise DataFormatError("all graphs must share one feature dimension")
-        if not is_integer(rec.label):
-            raise DataFormatError(f"graph {i}: label {rec.label!r} is not an integer")
         if not 0 <= rec.label < num_classes:
             raise DataFormatError(
                 f"graph {i}: label {rec.label} outside [0, {num_classes})"
@@ -282,11 +280,17 @@ def _batched_loss_and_grads(
 def train_gcn(dataset, arch: dict, cfg: TrainConfig) -> TrainResult:
     """Full-batch momentum gradient descent on mean cross-entropy.
 
-    arch: {"num_layers", "hidden_dim", "num_classes", "pooling"(optional)}.
+    arch: {"num_layers", "hidden_dim", "num_classes", "pooling"(optional)};
+    a missing or unknown key raises ValueError.
     Stops early once train accuracy reaches cfg.target_train_accuracy.
     A diverging run raises NumericalFailureError with no numpy warning: the
     epochs run with overflow and invalid operations ignored.
     """
+    required = ("num_layers", "hidden_dim", "num_classes")
+    missing = [key for key in required if key not in arch]
+    unknown = [key for key in arch if key not in (*required, "pooling")]
+    if missing or unknown:
+        raise ValueError(f"arch keys: missing {missing}, unknown {unknown}")
     # The dataset check compares labels with num_classes, so it goes first.
     check_count("num_classes", arch["num_classes"])
     model = init_gcn(

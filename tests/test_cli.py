@@ -259,6 +259,33 @@ class TestEvaluateCommand:
         assert option in result.output
         assert not out.exists()
 
+    # Each exited 0: an empty list wrote empty curves or no comparison rows,
+    # and a repeated method printed two identical comparison rows.
+    @pytest.mark.parametrize(
+        "option, value, problem",
+        [
+            ("--methods", ",", "empty"),
+            ("--methods", " , ", "empty"),
+            ("--levels", ",", "empty"),
+            ("--methods", "sa,sa", "'sa' is given twice"),
+            ("--methods", "sa,ig,sa", "'sa' is given twice"),
+            ("--levels", "0.5,0.9,0.50", "0.5 is given twice"),
+        ],
+    )
+    def test_empty_or_repeated_list_is_usage_error(
+        self, runner, workspace, option, value, problem
+    ):
+        out = workspace["dir"] / "never.json"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--model", str(workspace["model"]),
+             "--dataset", str(workspace["dataset"]), option, value, "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert problem in result.output
+        assert not out.exists()
+
     def test_empty_dataset_is_data_error(self, runner, workspace):
         dataset = workspace["dir"] / "empty.jsonl"
         dataset.write_text("")

@@ -10,11 +10,18 @@ from edgelens import (
     edge_mask_auc,
     gen_ba2motifs_mini,
     gen_varsize_motifs,
+    init_gcn,
     load_dataset,
+    load_graph,
+    load_model,
     save_dataset,
+    save_graph,
+    save_model,
 )
 from edgelens.data import DatasetRecord, record_to_json
 from edgelens.graphs import Graph, components, induce_by_edges, induce_by_nodes
+
+from conftest import gin_model
 
 
 def pair_counting_auc(scores, mask):
@@ -322,7 +329,90 @@ class TestDatasetIO:
         )
         assert len(load_dataset(path)) == 2
 
+    def test_graph_label_must_agree(self, tmp_path):
+        # The graph's copy of the label was never read, so a line whose
+        # copy disagreed loaded without a word.
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        bad = json.loads(record_to_json(records[1]))
+        assert bad["label"] == bad["graph"]["label"] == 1
+        bad["graph"]["label"] = 0
+        path = tmp_path / "g.jsonl"
+        path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match="line 2: label 1 differs"):
+            load_dataset(path)
+
+    def test_graph_label_may_be_absent(self, tmp_path):
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        obj = json.loads(record_to_json(records[1]))
+        del obj["graph"]["label"]
+        path = tmp_path / "a.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert record_to_json(load_dataset(path)[0]) == record_to_json(records[1])
+
     def test_mask_length_validated(self):
         g = Graph.undirected(np.ones((2, 1)), [(0, 1)])
         with pytest.raises(DataFormatError):
             DatasetRecord(graph=g, label=0, gt_edge_mask=(0, 1), motif_count=0)
+
+
+class TestRecordFields:
+    """A DatasetRecord checks and normalizes its own label, mask and motif
+    count, so every record it accepts saves and loads back."""
+
+    # Each was accepted in memory and then written as a line load_dataset
+    # rejects, or made record_to_json raise a TypeError.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("label", 1.0),
+            ("label", True),
+            ("label", -1),
+            ("label", "1"),
+            ("gt_edge_mask", 2),
+            ("gt_edge_mask", True),
+            ("gt_edge_mask", 0.5),
+            ("gt_edge_mask", np.float64(1.0)),
+            ("motif_count", -1),
+            ("motif_count", False),
+        ],
+    )
+    def test_rejected_in_memory(self, field, value):
+        fields = {"label": 1, "gt_edge_mask": (0, 1), "motif_count": 1}
+        fields[field] = (0, value) if field == "gt_edge_mask" else value
+        graph = Graph.undirected(np.ones((3, 2)), [(0, 1), (1, 2)])
+        with pytest.raises(DataFormatError, match=f"^{field}"):
+            DatasetRecord(graph=graph, **fields)
+
+    def test_numpy_integers_stored_as_ints(self):
+        i = np.int64
+        graph = Graph.undirected(np.ones((3, 2)), [(0, 1), (1, 2)])
+        rec = DatasetRecord(
+            graph=graph, label=i(1), gt_edge_mask=np.array([0, 1]), motif_count=np.uint8(1)
+        )
+        assert (type(rec.label), type(rec.motif_count)) == (int, int)
+        assert rec.gt_edge_mask == (0, 1)
+        assert [type(x) for x in rec.gt_edge_mask] == [int, int]
+
+
+def test_numpy_scalars_save_and_load_back(tmp_path):
+    """A graph, a record and a GCN and a GIN model built with numpy scalars
+    where the library stores Python ints and floats each save, load and
+    save again to the same bytes. The record and the models raised
+    TypeError on the first save."""
+    i = np.int64
+    graph = Graph.undirected(np.ones((3, 2)), [(i(0), i(1)), (i(1), i(2), np.float64(0.5))])
+    record = DatasetRecord(
+        graph=graph, label=i(1), gt_edge_mask=(i(0), i(1)), motif_count=i(1)
+    )
+    gcn = init_gcn(i(2), i(1), i(4), i(2))
+    gin = gin_model(3, 2, hidden=4, num_layers=2, num_classes=i(3), epsilon=np.float64(0.25))
+    for kind, obj, save, load in [
+        ("graph", graph, save_graph, load_graph),
+        ("record", [record], save_dataset, load_dataset),
+        ("gcn", gcn, save_model, load_model),
+        ("gin", gin, save_model, load_model),
+    ]:
+        first, second = tmp_path / f"{kind}-1", tmp_path / f"{kind}-2"
+        save(obj, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes(), kind

@@ -282,6 +282,26 @@ class TestGraphIO:
         save_graph(triangle, path)
         assert graph_to_json(load_graph(path)) == graph_to_json(triangle)
 
+    def test_label_is_checked_then_dropped(self):
+        """A graph has no label: a file's `label` must be a JSON integer,
+        and the graph read from it writes none."""
+        obj = json.loads(self._record())
+        obj["label"] = 1
+        g = graph_from_json(json.dumps(obj))
+        assert not hasattr(g, "label")
+        assert graph_to_json(g) == graph_to_json(graph_from_json(self._record()))
+        assert "label" not in json.loads(graph_to_json(g))
+
+    def test_negative_zero_weight_stored_as_zero(self, tmp_path):
+        # The sign bit was kept and written back as -0.0.
+        g = Graph(np.ones((3, 1)), [0, 1], [1, 2], np.array([-0.0, 0.5]))
+        assert not np.signbit(g.edge_weight).any()
+        assert g.edge_weight.tolist() == [0.0, 0.5]
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        assert json.loads(path.read_text())["edges"][0] == [0, 1, 0.0]
+        assert "-0.0" not in path.read_text()
+
     def test_rejects_nan_features(self):
         with pytest.raises(DataFormatError):
             graph_from_json(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -270,6 +271,23 @@ class TestSubgraphRows:
             kept[0], kept[1] = False, True
             self.assert_matches_reference(g, kept)
 
+    def test_weights_are_bitwise_the_where_form(self):
+        """The weights are kept * edge_weight, with the bits of
+        np.where(kept, edge_weight, 0.0) on random weights, zeros among
+        them, some given as -0.0."""
+        rng = np.random.default_rng(82)
+        for _ in range(20):
+            g = random_graph(rng, max_nodes=12, max_extra_edges=10)
+            num_edges = g.num_undirected_edges
+            w = rng.uniform(size=num_edges)
+            w[rng.uniform(size=num_edges) < 0.2] = 1.0
+            w[rng.uniform(size=num_edges) < 0.2] = 0.0
+            w[rng.uniform(size=num_edges) < 0.2] = -0.0
+            g = Graph(g.features, g.edge_u, g.edge_v, w)
+            kept = rng.uniform(size=(30, num_edges)) < rng.uniform(size=(30, 1))
+            weights, _ = subgraph_rows(g, kept)
+            assert weights.tobytes() == np.where(kept, g.edge_weight, 0.0).tobytes()
+
     def test_isolated_node_is_kept_only_in_an_empty_row(self):
         # Node 4 has no edge; nodes 1 and 2 have three and two.
         g = Graph.undirected(np.ones((5, 2)), [(0, 1), (1, 2), (2, 3), (1, 3)])
@@ -398,6 +416,38 @@ class TestModelIO:
         obj["epsilons"] = eps
         with pytest.raises(ModelFormatError, match="epsilons"):
             model_from_json(json.dumps(obj))
+
+    def test_nan_gin_epsilon_in_file_is_format_error(self):
+        # Read back and failed only at the first pass, as a numerical failure.
+        obj = json.loads(model_to_json(gin_model(4, 2, hidden=2, num_layers=2)))
+        text = json.dumps(obj).replace('"epsilons": [0.25, 0.25]', '"epsilons": [NaN, 0.25]')
+        assert "NaN" in text
+        with pytest.raises(ModelFormatError, match="^GIN epsilons"):
+            model_from_json(text)
+
+    # Each was accepted in memory and then written as a file the reader
+    # rejects, or written as NaN, or made model_to_json raise a TypeError.
+    @pytest.mark.parametrize("num_classes", [2.0, True, 0, "2", None])
+    def test_num_classes_rejected_in_memory(self, num_classes):
+        with pytest.raises(ModelFormatError, match="^num_classes"):
+            dataclasses.replace(identity_gcn(), num_classes=num_classes)
+
+    @pytest.mark.parametrize(
+        "epsilon",
+        [math.nan, math.inf, -math.inf, True, "0.1", None, pytest.param(10**400, id="10**400")],
+    )
+    def test_gin_epsilon_rejected_in_memory(self, epsilon):
+        layer = gin_model(4, 2, hidden=2, num_layers=1).layers[0]
+        with pytest.raises(ModelFormatError, match="^GIN epsilons"):
+            dataclasses.replace(layer, epsilon=epsilon)
+
+    def test_numeric_fields_stored_as_python_scalars(self):
+        m = gin_model(4, 2, hidden=2, num_layers=2, num_classes=np.int64(2),
+                      epsilon=np.float32(0.5))
+        assert type(m.num_classes) is int
+        assert [type(layer.epsilon) for layer in m.layers] == [float, float]
+        assert m.layers[0].epsilon == 0.5
+        assert type(dataclasses.replace(m.layers[0], epsilon=1).epsilon) is float
 
     def test_dimension_chain_validated(self):
         with pytest.raises(ModelFormatError):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,35 @@ class TestTrainGCN:
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1))
 
+    # A misspelt "pooling" trained a mean-pooled model without a word, and a
+    # missing key raised a raw KeyError.
+    @pytest.mark.parametrize(
+        "arch, named",
+        [
+            ({**ARCH, "poolng": "sum"}, "unknown ['poolng']"),
+            ({**ARCH, "layers": 2}, "unknown ['layers']"),
+            ({"num_layers": 1, "hidden_dim": 4}, "missing ['num_classes']"),
+            ({"num_classes": 2}, "missing ['num_layers', 'hidden_dim']"),
+            ({}, "missing ['num_layers', 'hidden_dim', 'num_classes']"),
+        ],
+    )
+    def test_unknown_or_missing_arch_keys_rejected(self, arch, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1))
+
+    def test_arch_checked_before_the_dataset(self):
+        with pytest.raises(ValueError, match="arch keys") as info:
+            train_gcn([], {**ARCH, "poolng": "sum"}, TrainConfig(epochs=1))
+        assert not isinstance(info.value, DataFormatError)
+
+    def test_pooling_is_optional(self):
+        arch = {"num_layers": 1, "hidden_dim": 4, "num_classes": 2}
+        for pooling in ("mean", "sum"):
+            model = train_gcn(tiny_dataset(k=2), {**arch, "pooling": pooling},
+                              TrainConfig(epochs=1)).model
+            assert model.pooling == pooling
+        assert train_gcn(tiny_dataset(k=2), arch, TrainConfig(epochs=1)).model.pooling == "mean"
+
     def test_dataset_problems_are_data_errors(self):
         g = Graph.undirected(np.ones((2, 3)), [(0, 1)])
         g4 = Graph.undirected(np.ones((2, 4)), [(0, 1)])
@@ -258,18 +288,21 @@ class TestTrainGCN:
             graph=graph, label=label, gt_edge_mask=(0,) * graph.num_undirected_edges,
             motif_count=0,
         )
-        for ds in (
-            [],
-            [record(g, 2)],
-            [record(g, -1)],
-            [record(g, 1.0)],
-            [record(g, 0.5)],
-            [record(g, True)],
-            [record(g, 0), record(g4, 1)],
-            [record(g, 0), record(empty, 1)],
+        # Each dataset is built inside pytest.raises: a record rejects a
+        # label that is not an integer >= 0 when it is made, and the
+        # trainer rejects the rest.
+        for make in (
+            lambda: [],
+            lambda: [record(g, 2)],
+            lambda: [record(g, -1)],
+            lambda: [record(g, 1.0)],
+            lambda: [record(g, 0.5)],
+            lambda: [record(g, True)],
+            lambda: [record(g, 0), record(g4, 1)],
+            lambda: [record(g, 0), record(empty, 1)],
         ):
             with pytest.raises(DataFormatError):
-                train_gcn(ds, ARCH, TrainConfig(epochs=1))
+                train_gcn(make(), ARCH, TrainConfig(epochs=1))
 
     def test_epoch_working_set(self):
         """The traced peak of training stays near what an epoch must hold:
