@@ -410,23 +410,17 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="not a JSON object"):
             model_from_json(text)
 
-    @pytest.mark.parametrize("eps", [[None, 0.0], ["0.1", 0.0], [0.0], 0.1])
+    # NaN was read back and failed only at the first pass, as a numerical
+    # failure.
+    @pytest.mark.parametrize("eps", [[None, 0.0], ["0.1", 0.0], [0.0], 0.1, [math.nan, 0.0]])
     def test_bad_gin_epsilons_rejected(self, eps):
         obj = json.loads(model_to_json(gin_model(4, 2, hidden=2, num_layers=2)))
         obj["epsilons"] = eps
         with pytest.raises(ModelFormatError, match="epsilons"):
             model_from_json(json.dumps(obj))
 
-    def test_nan_gin_epsilon_in_file_is_format_error(self):
-        # Read back and failed only at the first pass, as a numerical failure.
-        obj = json.loads(model_to_json(gin_model(4, 2, hidden=2, num_layers=2)))
-        text = json.dumps(obj).replace('"epsilons": [0.25, 0.25]', '"epsilons": [NaN, 0.25]')
-        assert "NaN" in text
-        with pytest.raises(ModelFormatError, match="^GIN epsilons"):
-            model_from_json(text)
-
-    # Each was accepted in memory and then written as a file the reader
-    # rejects, or written as NaN, or made model_to_json raise a TypeError.
+    # Each was accepted and written as a file the reader rejects or as the
+    # token NaN, or raised a bare TypeError or an error naming another field.
     @pytest.mark.parametrize("num_classes", [2.0, True, 0, "2", None])
     def test_num_classes_rejected_in_memory(self, num_classes):
         with pytest.raises(ModelFormatError, match="^num_classes"):
