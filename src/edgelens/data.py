@@ -3,7 +3,11 @@ rank-based AUC metric for edge attributions.
 
 All randomness comes from numpy's default_rng (PCG64) seeded once per
 corpus, so a (kind, args, seed) triple always reproduces byte-identical
-datasets.
+datasets. Each graph draws its tree's attachment picks in node order, then
+its motif anchors. Draws whose bounds are all known up front are made in
+one rng.integers call with an array of bounds, which returns what one
+scalar call per bound would, in the same order, and leaves the generator
+in the same state.
 """
 
 from __future__ import annotations
@@ -61,35 +65,42 @@ class DatasetRecord:
         object.__setattr__(self, "motif_count", _non_negative_int("motif_count", self.motif_count))
 
 
-def _ba_tree_edges(num_nodes: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Preferential attachment with one edge per new node (m=1)."""
-    edges = [(0, 1)]
-    repeated = [0, 1]
-    for v in range(2, num_nodes):
-        target = repeated[rng.integers(0, len(repeated))]
-        edges.append((target, v))
-        repeated.extend((target, v))
-    return edges
+def _tree_bounds(num_nodes: int) -> np.ndarray:
+    """The bound of each draw that grows a preferential-attachment tree on
+    num_nodes nodes: node v >= 2 picks one of the 2(v - 1) endpoints of the
+    v - 1 edges before it."""
+    return np.arange(2, 2 * num_nodes - 2, 2)
+
+
+def _tree_endpoints(picks) -> tuple[list[int], list[int]]:
+    """Endpoints (u, v) of the preferential-attachment tree (one edge per
+    new node) whose node v >= 2 attaches to the endpoint picks[v - 2] of
+    the list of every edge's endpoints so far: edge (0, 1), then one edge
+    (target, v) per node, in node order."""
+    flat = [0, 1]
+    for v, pick in enumerate(picks, start=2):
+        flat += (flat[pick], v)
+    return flat[0::2], flat[1::2]
 
 
 def _attach_motif(
-    base_edges: list[tuple[int, int]],
-    base_nodes: int,
-    motif: list[tuple[int, int]],
-    offset: int,
-    rng: np.random.Generator,
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Append a motif copy at node offset, joined to the base by one
-    unflagged edge; returns (all edges, mask of the appended edges)."""
-    anchor = int(rng.integers(0, base_nodes))
-    edges = list(base_edges)
-    mask = [0] * len(base_edges)
-    edges.append((anchor, offset))
-    mask.append(0)
-    for u, v in motif:
-        edges.append((offset + u, offset + v))
-        mask.append(1)
-    return edges, mask
+    u: list[int], v: list[int], anchor: int, offset: int, motif: list[tuple[int, int]]
+) -> list[int]:
+    """Append to the endpoint lists a motif copy at node offset, joined to
+    base node `anchor` by one edge; returns the mask of the appended edges:
+    0 for the joining edge, 1 for each motif edge."""
+    u.append(anchor)
+    v.append(offset)
+    u.extend(offset + a for a, _ in motif)
+    v.extend(offset + b for _, b in motif)
+    return [0] + [1] * len(motif)
+
+
+def _record(num_nodes: int, u, v, label: int, mask, motif_count: int) -> DatasetRecord:
+    """A generated record: all-ones features, which are writable and so
+    the graph's own, and unit edge weights."""
+    graph = Graph(np.ones((num_nodes, FEATURE_DIM)), u, v, np.ones(len(u)))
+    return DatasetRecord(graph, label, tuple(mask), motif_count)
 
 
 def gen_ba2motifs_mini(
@@ -97,25 +108,25 @@ def gen_ba2motifs_mini(
 ) -> list[DatasetRecord]:
     """Balanced two-class corpus: preferential-attachment base plus one
     planted motif, house (class 0) or pentagon (class 1). ValueError unless
-    n_graphs is an integer >= 0 and base_nodes one >= 5."""
+    n_graphs is an integer >= 0 and base_nodes one >= 5.
+
+    Each graph draws its tree's picks in node order, then the anchor that
+    joins the motif to the base. Every bound is known up front, so the
+    whole corpus takes one draw with an array of bounds, which returns the
+    values the scalar draws would, in order, and leaves the generator in
+    the same state (tests/test_data.py pins this numpy fact)."""
     check_count("n_graphs", n_graphs, least=0)
     check_count("base_nodes", base_nodes, least=5)
     rng = np.random.default_rng(seed)
+    bounds = np.append(_tree_bounds(base_nodes), base_nodes)
+    draws = rng.integers(0, np.tile(bounds, n_graphs)).reshape(n_graphs, len(bounds))
     records = []
-    for i in range(n_graphs):
+    for i, (*picks, anchor) in enumerate(draws.tolist()):
         label = i % 2
+        u, v = _tree_endpoints(picks)
         motif = HOUSE_EDGES if label == 0 else PENTAGON_EDGES
-        base = _ba_tree_edges(base_nodes, rng)
-        edges, mask = _attach_motif(base, base_nodes, motif, base_nodes, rng)
-        features = np.ones((base_nodes + 5, FEATURE_DIM))
-        records.append(
-            DatasetRecord(
-                graph=Graph.undirected(features, edges),
-                label=label,
-                gt_edge_mask=tuple(mask),
-                motif_count=1,
-            )
-        )
+        mask = [0] * len(u) + _attach_motif(u, v, anchor, base_nodes, motif)
+        records.append(_record(base_nodes + 5, u, v, label, mask, 1))
     return records
 
 
@@ -125,35 +136,26 @@ def gen_varsize_motifs(
     """Class 1 graphs carry 1..max_motifs vertex-disjoint 3-node stars, so
     ground-truth explanations vary in size and can be disconnected; class 0
     graphs carry none. ValueError unless n_graphs is an integer >= 0,
-    max_motifs one >= 1 and base_nodes one >= 2."""
+    max_motifs one >= 1 and base_nodes one >= 2.
+
+    Each graph draws its tree's picks in node order, in one draw with an
+    array of bounds as gen_ba2motifs_mini does; a class 1 graph then draws
+    its motif count and each motif's anchor, one at a time."""
     check_count("n_graphs", n_graphs, least=0)
     check_count("max_motifs", max_motifs)
     check_count("base_nodes", base_nodes, least=2)
     rng = np.random.default_rng(seed)
+    tree_bounds = _tree_bounds(base_nodes)
     records = []
     for i in range(n_graphs):
         label = i % 2
-        edges = _ba_tree_edges(base_nodes, rng)
-        mask = [0] * len(edges)
-        count = 0
-        total_nodes = base_nodes
-        if label == 1:
-            count = int(rng.integers(1, max_motifs + 1))
-            for _ in range(count):
-                edges, extra = _attach_motif(
-                    edges, base_nodes, STAR_EDGES, total_nodes, rng
-                )
-                mask = mask + extra[len(mask) :]
-                total_nodes += 3
-        features = np.ones((total_nodes, FEATURE_DIM))
-        records.append(
-            DatasetRecord(
-                graph=Graph.undirected(features, edges),
-                label=label,
-                gt_edge_mask=tuple(mask),
-                motif_count=count,
-            )
-        )
+        u, v = _tree_endpoints(rng.integers(0, tree_bounds).tolist())
+        mask = [0] * len(u)
+        count = int(rng.integers(1, max_motifs + 1)) if label == 1 else 0
+        for k in range(count):
+            anchor = int(rng.integers(0, base_nodes))
+            mask += _attach_motif(u, v, anchor, base_nodes + 3 * k, STAR_EDGES)
+        records.append(_record(base_nodes + 3 * count, u, v, label, mask, count))
     return records
 
 
@@ -216,6 +218,9 @@ def save_dataset(records, path) -> None:
 def _record_from_obj(obj) -> DatasetRecord:
     if not isinstance(obj, dict):
         raise DataFormatError("record is not a JSON object")
+    for key in ("graph", "label", "gt_edge_mask", "motif_count"):
+        if key not in obj:
+            raise DataFormatError(f"record missing field {key!r}")
     mask = obj["gt_edge_mask"]
     if not isinstance(mask, list):
         raise DataFormatError(f"gt_edge_mask {mask!r} is not a list")
@@ -243,7 +248,7 @@ def load_dataset(path) -> list[DatasetRecord]:
                 continue
             try:
                 records.append(_record_from_obj(json.loads(line)))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            except (ValueError, json.JSONDecodeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from exc
     return records
 

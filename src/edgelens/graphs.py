@@ -27,9 +27,13 @@ GRAPH_SCHEMA_VERSION = 1
 
 def check_edge_weights(w: np.ndarray) -> None:
     """Raise DataFormatError unless every weight of the float64 array `w`
-    is finite and in [0, 1]."""
-    valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
-    if not valid.all():
+    is finite and in [0, 1], naming the first that is not.
+
+    A NaN makes the minimum and the maximum NaN, and each comparison with
+    NaN is False, so the two reductions reject it as they reject an
+    infinity; the weight is located only on failure."""
+    if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
+        valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
         raise DataFormatError(f"edge weight {w.flat[np.argmin(valid)]} outside [0, 1]")
 
 
@@ -56,7 +60,7 @@ class Graph:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         if feats.ndim != 2:
             raise DataFormatError(f"features must be (n, d), got {feats.shape}")
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(feats).all():
             raise DataFormatError("features contain NaN/Inf")
         a = np.asarray(self.edge_u, dtype=np.int64)
         b = np.asarray(self.edge_v, dtype=np.int64)
@@ -67,17 +71,24 @@ class Graph:
                 f"{a.shape}, {b.shape} and {w.shape}"
             )
         n = feats.shape[0]
-        outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
-        if outside.any():
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        # Every endpoint is in range when the smallest u and the largest v
+        # are; the first edge that is not is located only on failure.
+        if len(u) and (u.min() < 0 or v.max() >= n):
+            outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
             i = np.argmax(outside)
             raise DataFormatError(f"edge ({a[i]}, {b[i]}) out of range for n={n}")
-        if np.any(a == b):
+        if (u == v).any():
             raise DataFormatError("self-loops are not allowed in input graphs")
         check_edge_weights(w)
         w += 0.0  # stores -0.0 as 0.0: -0.0 + 0.0 is +0.0
-        u, v = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((v, u))
-        repeated = (np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)
+        # A stable sort by the packed key u * n + v orders the edges by u
+        # and then by v, as np.lexsort((v, u)) does, and keeps equal keys
+        # in input order, so the first repeat in that order is named.
+        key = u * n + v
+        order = key.argsort(kind="stable")
+        ordered = key[order]
+        repeated = ordered[1:] == ordered[:-1]
         if repeated.any():
             i = order[1:][np.argmax(repeated)]
             raise DataFormatError(f"duplicate undirected edge ({u[i]}, {v[i]})")
@@ -136,8 +147,11 @@ class InducedSubgraph:
 
 def is_integer(value) -> bool:
     """True for an int or a numpy integer; False for a bool, a float, a
-    string or anything else, whatever value it would convert to."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    string or anything else, whatever value it would convert to. An int
+    is answered without the abstract-class check."""
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def is_real(value) -> bool:

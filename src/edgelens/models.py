@@ -336,7 +336,9 @@ def csr_pattern(
     rows = np.concatenate((edge_u, edge_v, loops))
     cols = np.concatenate((edge_v, edge_u, loops))
     source = np.concatenate((edges, edges, np.full(len(loops), num_edges)))
-    order = np.lexsort((cols, rows))
+    # A stable sort by the packed key row * n + col: the order of
+    # np.lexsort((cols, rows)).
+    order = (rows * n + cols).argsort(kind="stable")
     return rows[order], cols[order], source[order]
 
 

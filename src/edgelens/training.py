@@ -151,7 +151,9 @@ def _transpose(op: CSR) -> CSR:
     """op.T as a CSR, entry for entry what scipy's op.T.tocsr() gives: the
     entries sorted by column and then by row."""
     rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    order = np.lexsort((rows, op.indices))
+    # A stable sort by the packed key column * (row count) + row: the order of
+    # np.lexsort((rows, op.indices)).
+    order = (op.indices * op.shape[0] + rows).argsort(kind="stable")
     return csr_operator(op.indices[order], rows[order], op.data[order], op.shape[::-1])
 
 

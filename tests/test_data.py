@@ -18,7 +18,14 @@ from edgelens import (
     save_graph,
     save_model,
 )
-from edgelens.data import DatasetRecord, record_to_json
+from edgelens.data import (
+    FEATURE_DIM,
+    HOUSE_EDGES,
+    PENTAGON_EDGES,
+    STAR_EDGES,
+    DatasetRecord,
+    record_to_json,
+)
 from edgelens.graphs import Graph, components, induce_by_edges, induce_by_nodes
 
 from conftest import gin_model
@@ -37,6 +44,108 @@ def pair_counting_auc(scores, mask):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+# Generator outputs beyond the frozen corpus that CORPUS_CHECKSUM pins:
+# the 205-node graphs of the explain-large benchmark workload (tree draws
+# with bounds up to 398), a second ba2motifs base size, the varsize default,
+# and a varsize base of 2 nodes, whose trees draw nothing.
+GENERATOR_CHECKSUMS = [
+    (
+        gen_ba2motifs_mini,
+        dict(n_graphs=16, base_nodes=200, seed=1),
+        "f77576cac1b30292f099d71985517531b8c82473621d571473440ff7e8037605",
+    ),
+    (
+        gen_ba2motifs_mini,
+        dict(n_graphs=12, base_nodes=6, seed=3),
+        "efc0223027bef58576a768f9f1d3e1dcb40192002ec9a7bd2741c05aee62fb92",
+    ),
+    (
+        gen_varsize_motifs,
+        dict(n_graphs=40, seed=3),
+        "065c1236b05ee034f7a892034b7cb68f7ac0767028e345ebe712bbdf7a712aeb",
+    ),
+    (
+        gen_varsize_motifs,
+        dict(n_graphs=12, base_nodes=2, seed=5),
+        "1bd31190c94e7073a3c1bc1ffc16435626a6f874c2897efea800a753c7bef94c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, kwargs, checksum",
+    GENERATOR_CHECKSUMS,
+    ids=[f"{gen.__name__}-{'-'.join(map(str, kw.values()))}" for gen, kw, _ in GENERATOR_CHECKSUMS],
+)
+def test_generator_checksums(gen, kwargs, checksum):
+    assert dataset_checksum(gen(**kwargs)) == checksum
+
+
+def scalar_draw_corpus(kind, n_graphs, base_nodes, seed, max_motifs=3):
+    """Reference: the generators as loops with one scalar rng.integers call
+    per draw, in their documented order (each node's attachment pick, then
+    a varsize graph's motif count, then each motif's anchor)."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n_graphs):
+        label = i % 2
+        edges, repeated = [(0, 1)], [0, 1]
+        for v in range(2, base_nodes):
+            target = repeated[rng.integers(0, len(repeated))]
+            edges.append((target, v))
+            repeated += (target, v)
+        mask = [0] * len(edges)
+        if kind == "ba2motifs":
+            count, motifs = 1, [HOUSE_EDGES if label == 0 else PENTAGON_EDGES]
+        else:
+            count = int(rng.integers(1, max_motifs + 1)) if label == 1 else 0
+            motifs = [STAR_EDGES] * count
+        offset = base_nodes
+        for motif in motifs:
+            anchor = int(rng.integers(0, base_nodes))
+            edges += [(anchor, offset)] + [(offset + a, offset + b) for a, b in motif]
+            mask += [0] + [1] * len(motif)
+            offset += max(map(max, motif)) + 1
+        graph = Graph.undirected(np.ones((offset, FEATURE_DIM)), edges)
+        records.append(DatasetRecord(graph, label, tuple(mask), count))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generators_equal_the_scalar_draw_loops(seed):
+    for base_nodes in (5, 6, 12, 40):
+        got = gen_ba2motifs_mini(10, base_nodes=base_nodes, seed=seed)
+        want = scalar_draw_corpus("ba2motifs", 10, base_nodes, seed)
+        assert dataset_checksum(got) == dataset_checksum(want)
+    for base_nodes, max_motifs in ((2, 3), (3, 1), (12, 3), (30, 5)):
+        got = gen_varsize_motifs(10, max_motifs=max_motifs, base_nodes=base_nodes, seed=seed)
+        want = scalar_draw_corpus("varsize", 10, base_nodes, seed, max_motifs)
+        assert dataset_checksum(got) == dataset_checksum(want)
+
+
+def test_vector_bound_draw_is_the_scalar_draws():
+    """The generators draw a corpus's (or a tree's) bounded integers in one
+    rng.integers call with an array of bounds. That returns the values of
+    one scalar call per bound, in order, and leaves the generator in the
+    same state, so the next draw agrees too. Pinned here for bounds around
+    the 32-bit boundary, where numpy switches between 32- and 64-bit
+    draws, and for an empty array, so a numpy release that breaks the fact
+    fails under this name and not only as a checksum mismatch."""
+    cases = [
+        [1, 2, 398, 2**32, 2**32 + 1, 7, 2**31, 1, 2**40, 3, 398],
+        list(range(1, 400)),
+        [],
+    ]
+    for seed in range(5):
+        for bounds in cases:
+            vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = vector.integers(0, np.array(bounds, dtype=np.int64))
+            assert drawn.dtype == np.int64 and drawn.shape == (len(bounds),)
+            assert drawn.tolist() == [int(scalar.integers(0, k)) for k in bounds]
+            assert vector.integers(0, 2**40) == scalar.integers(0, 2**40)
+            assert vector.integers(0, 5) == scalar.integers(0, 5)
 
 
 class TestBa2MotifsMini:
@@ -319,6 +428,16 @@ class TestDatasetIO:
         path = tmp_path / "r.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(DataFormatError, match="line 1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key", ["graph", "label", "gt_edge_mask", "motif_count"])
+    def test_missing_key_named_with_line(self, tmp_path, key):
+        records = gen_ba2motifs_mini(2, base_nodes=8, seed=12)
+        bad = json.loads(record_to_json(records[1]))
+        del bad[key]
+        path = tmp_path / "k.jsonl"
+        path.write_text(record_to_json(records[0]) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataFormatError, match=f"^line 2: record missing field '{key}'$"):
             load_dataset(path)
 
     def test_blank_lines_skipped(self, tmp_path):

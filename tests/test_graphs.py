@@ -388,11 +388,30 @@ class TestEdgeArrays:
             ([0], [3], [1.0], "out of range"),
             ([-1], [1], [1.0], "out of range"),
             ([0], [1], [np.nan], "outside \\[0, 1\\]"),
+            # Full messages: an edge out of range is named as given, the
+            # first repeat in (u, v) order and the first bad weight by
+            # index. (1, 2) repeats first by index, (0, 1) first in order.
+            ([0], [3], [1.0], "^edge \\(0, 3\\) out of range for n=3$"),
+            ([3], [0], [1.0], "^edge \\(3, 0\\) out of range for n=3$"),
+            ([-1], [1], [1.0], "^edge \\(-1, 1\\) out of range for n=3$"),
+            ([0, 2], [1, 9], [1.0, 1.0], "^edge \\(2, 9\\) out of range for n=3$"),
+            ([1, 0, 2, 1], [2, 1, 1, 0], [1.0] * 4, "^duplicate undirected edge \\(0, 1\\)$"),
+            ([0, 1], [1, 2], [0.5, np.nan], "^edge weight nan outside \\[0, 1\\]$"),
+            ([0, 1], [1, 2], [0.5, -np.inf], "^edge weight -inf outside \\[0, 1\\]$"),
+            ([0, 1], [1, 2], [0.5, np.inf], "^edge weight inf outside \\[0, 1\\]$"),
+            ([0, 1], [1, 2], [1.0000000000000002, 2.0], "^edge weight 1\\.0000000000000002 outside"),
+            ([0, 1], [1, 2], [1.0, -1e-300], "^edge weight -1e-300 outside \\[0, 1\\]$"),
         ],
     )
     def test_rejects(self, edge_u, edge_v, edge_weight, match):
         with pytest.raises(DataFormatError, match=match):
             Graph(np.ones((3, 1)), edge_u, edge_v, edge_weight)
+
+    def test_accepts_edgeless_graph_and_boundary_weights(self):
+        g = Graph(np.ones((3, 1)), [], [], [])
+        assert g.num_undirected_edges == 0
+        g = Graph(np.ones((3, 1)), [0, 1, 0], [1, 2, 2], [-0.0, 1.0, 5e-324])
+        np.testing.assert_array_equal(g.edge_weight, [0.0, 1.0, 5e-324])
 
     def test_endpoints_stored_sorted(self):
         g = Graph(np.ones((4, 1)), [3, 0, 2], [1, 2, 1], [0.5, 1.0, 0.25])

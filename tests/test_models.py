@@ -24,6 +24,7 @@ from edgelens.models import (
     Classifier,
     GCNLayer,
     GINLayer,
+    csr_pattern,
     model_from_json,
     model_to_json,
     subgraph_rows,
@@ -245,6 +246,30 @@ class TestForwardOnInduced:
         a = forward_on_induced(small_model, s)
         zeroed = forward(small_model, path3, weights=np.zeros(2))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
+
+
+@pytest.mark.parametrize("self_loops", [False, True])
+def test_csr_pattern_is_in_lexsort_order(self_loops):
+    """csr_pattern sorts its entries by a packed key; pinned to the order of
+    np.lexsort by row and then column, entry for entry and source for
+    source, on random graphs with their edges in random order, and on
+    edgeless graphs of one and of four nodes."""
+    rng = np.random.default_rng(60)
+    graphs = [Graph(np.ones((1, 1)), [], [], []), Graph(np.ones((4, 1)), [], [], [])]
+    for _ in range(20):
+        g = random_graph(rng, max_nodes=12, max_extra_edges=10)
+        order = rng.permutation(g.num_undirected_edges)
+        graphs.append(Graph(g.features, g.edge_u[order], g.edge_v[order], g.edge_weight[order]))
+    for g in graphs:
+        loops = np.arange(g.n if self_loops else 0)
+        edges = np.arange(g.num_undirected_edges)
+        rows = np.concatenate((g.edge_u, g.edge_v, loops))
+        cols = np.concatenate((g.edge_v, g.edge_u, loops))
+        source = np.concatenate((edges, edges, np.full(len(loops), len(edges))))
+        want = np.lexsort((cols, rows))
+        got = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops)
+        for have, expected in zip(got, (rows[want], cols[want], source[want])):
+            np.testing.assert_array_equal(have, expected)
 
 
 def endpoint_union(g, kept_row):
