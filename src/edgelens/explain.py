@@ -30,7 +30,6 @@ from .graphs import (
     sparsity,
 )
 from .models import (
-    STACK_BYTES,
     ModelSpec,
     Prediction,
     forward,
@@ -90,21 +89,6 @@ def _check_choice(kind: str, value, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {kind} {value!r}")
 
 
-def _probabilities(m, g, num_rows, make_rows, target_class) -> np.ndarray:
-    """Target-class probability of rows 0 .. num_rows - 1, where
-    make_rows(lo, hi) gives the forward_rows input of rows lo .. hi - 1.
-
-    Rows are made and evaluated a chunk at a time, each chunk's (b, E)
-    weights within STACK_BYTES, so memory stays bounded on dense graphs.
-    """
-    step = max(1, STACK_BYTES // (8 * max(1, g.num_undirected_edges)))
-    out = np.empty(num_rows)
-    for lo in range(0, num_rows, step):
-        hi = min(lo + step, num_rows)
-        out[lo:hi] = forward_rows(m, g, *make_rows(lo, hi))[1][:, target_class]
-    return out
-
-
 def _one_edge_moved(m, g, bases, base_of, edges, values, target_class) -> np.ndarray:
     """Target-class probability of g with its edges carrying row base_of[i]
     of the (k, E) `bases` but for edge edges[i], moved to values[i], or for
@@ -116,7 +100,7 @@ def _one_edge_moved(m, g, bases, base_of, edges, values, target_class) -> np.nda
         weights[moved, edges[lo + moved]] = values[lo + moved]
         return weights, np.ones((hi - lo, g.n), dtype=bool)
 
-    return _probabilities(m, g, len(edges), rows, target_class)
+    return forward_rows(m, g, len(edges), rows)[1][:, target_class]
 
 
 def linear_gradient_scores(
@@ -188,7 +172,7 @@ def ig_edge_scores(
     pulling that edge back to its previous path value, which makes the
     Riemann sum telescoping-exact in the one-edge one-step case. Each step
     is |E| + 1 passes: the path point, then one per pulled edge. All steps'
-    passes go through one _probabilities call, and the steps' differences
+    passes go through one forward_rows call, and the steps' differences
     are summed in step order.
     """
     target_class = _target(m, target_class)
@@ -229,9 +213,9 @@ def score_edges(
 
 
 def rank_edges(scores: EdgeScores) -> tuple[int, ...]:
-    """Descending by score, ties by ascending edge index."""
-    vals = scores.values
-    return tuple(sorted(range(len(vals)), key=lambda i: (-vals[i], i)))
+    """Descending by score, ties by ascending edge index: a stable sort
+    keeps equal scores, -0.0 and 0.0 among them, in index order."""
+    return tuple(np.argsort(-scores.values, kind="stable").tolist())
 
 
 def _drops(
@@ -244,12 +228,13 @@ def _drops(
 ) -> np.ndarray:
     """Probability drop from the graph to the standalone graph of the edges
     kept in each of rows 0 .. num_rows - 1, where make_kept(lo, hi) gives
-    rows lo .. hi - 1 as a boolean (hi - lo, E) matrix: one pass per row."""
+    rows lo .. hi - 1 as a boolean (hi - lo, E) matrix: one pass per row,
+    all in one forward_rows call, which makes the rows a batch at a time."""
 
     def rows(lo, hi):
         return subgraph_rows(g, make_kept(lo, hi))
 
-    p = _probabilities(m, g, num_rows, rows, target_class)
+    p = forward_rows(m, g, num_rows, rows)[1][:, target_class]
     return original.probabilities[target_class] - p
 
 
@@ -361,22 +346,18 @@ def linear_search(
         original = forward(m, g)
         passes += 1
     plus, minus = _prefix_drops(m, g, ranked, ks, target_class, original)
-    best_k = None
-    best = (-np.inf, 0.0, 0.0)
-    for k, fplus, fminus in zip(ks, plus.tolist(), minus.tolist()):
-        score = fplus - fminus
-        if score > best[0]:
-            best = (score, fplus, fminus)
-            best_k = k
-    sub = induce_by_edges(g, ranked[:best_k])
+    scores = plus - minus
+    # argmax takes the first maximum: the smallest best prefix.
+    best = int(np.argmax(scores))
+    sub = induce_by_edges(g, ranked[: ks[best]])
     return Explanation(
         ranked_edges=ranked,
         scores=None,
-        chosen_k=best_k,
+        chosen_k=ks[best],
         subgraph=sub,
-        fidelity_plus=best[1],
-        fidelity_minus=best[2],
-        overall=best[0],
+        fidelity_plus=float(plus[best]),
+        fidelity_minus=float(minus[best]),
+        overall=float(scores[best]),
         sparsity=sparsity(sub),
         target_class=target_class,
         method=None,

@@ -207,6 +207,13 @@ def edge_mask(g: Graph, es: Iterable[int]) -> np.ndarray:
     return mask
 
 
+def node_mask(g: Graph, vs: Iterable[int]) -> np.ndarray:
+    """Boolean (n,) mask of the nodes in vs."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(_check_ids(vs, g.n, "node ids"))] = True
+    return mask
+
+
 def _internal_edges(g: Graph, vs: Iterable[int]) -> frozenset[int]:
     """The parent edges with both endpoints in vs."""
     inside = np.zeros(g.n, dtype=bool)

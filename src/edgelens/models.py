@@ -28,6 +28,7 @@ from .graphs import (
     edge_mask,
     is_integer,
     is_real,
+    node_mask,
     number_array,
 )
 
@@ -161,8 +162,8 @@ class CSR:
     shape: tuple[int, int]
 
 
-# scipy's compiled module scipy.sparse._sparsetools, once csr_matmul has
-# loaded it.
+# scipy's compiled module scipy.sparse._sparsetools, once csr_matmul or
+# csr_matmul_t has loaded it.
 _sparsetools = None
 _SPARSETOOLS = "scipy.sparse._sparsetools"
 
@@ -199,24 +200,34 @@ def csr_matmul(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> n
     entry at a time, in stored order. A given `out`, a C-contiguous float64
     array of the result's shape that shares no memory with `h`, is
     overwritten and returned instead of a new array."""
+    kernels = _sparsetools or _load_sparsetools()
+    return _matvecs(kernels.csr_matvecs, operator, operator.shape[0], h, out)
+
+
+def csr_matmul_t(operator: CSR, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """operator.T @ h, bit for bit: one call of scipy's kernel csc_matvecs
+    on the operator's own arrays, which it reads as the CSC of the
+    transpose; scipy's op.T @ h ends in the same call. Each output row j
+    starts at 0 and adds a_ij * h_i one stored entry at a time, in stored
+    order, so by ascending i. `out` as for csr_matmul."""
+    kernels = _sparsetools or _load_sparsetools()
+    return _matvecs(kernels.csc_matvecs, operator, operator.shape[1], h, out)
+
+
+def _matvecs(kernel, operator: CSR, rows: int, h: np.ndarray, out: np.ndarray | None):
+    """The (rows, d) product of one matvecs kernel over the operator's
+    arrays and h, into a zeroed `out` checked as csr_matmul describes."""
     n, d = h.shape
     if out is None:
-        out = np.zeros((operator.shape[0], d))
-    elif (
-        out.shape != (operator.shape[0], d)
-        or out.dtype != np.float64
-        or not out.flags.c_contiguous
-    ):
+        out = np.zeros((rows, d))
+    elif out.shape != (rows, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     elif np.may_share_memory(out, h):
         # out is zeroed before the kernel reads h.
         raise ValueError("out must not share memory with h")
     else:
         out.fill(0.0)
-    (_sparsetools or _load_sparsetools()).csr_matvecs(
-        operator.shape[0], n, d, operator.indptr, operator.indices, operator.data,
-        h.ravel(), out.ravel(),
-    )
+    kernel(rows, n, d, operator.indptr, operator.indices, operator.data, h.ravel(), out.ravel())
     return out
 
 
@@ -241,7 +252,7 @@ def forward_dense(
     caller makes once per call. With the boolean (s,) `kept`, only the
     kept nodes are pooled.
     forward_rows applies the classifier to a chunk's pooled rows with
-    readout, and takes the softmax and checks the logits once per batch.
+    readout, and takes the softmax and checks the logits once per call.
 
     At these sizes a pass costs mostly numpy's per-call overhead, so each
     step takes as few calls as its arithmetic allows: same-shape biases and
@@ -301,8 +312,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 # Byte budget of one dense chunk: an operator stack holds about one matrix
-# at n = 205 and about 650 at n = 10. explain.py bounds each batch of
-# (b, E) edge-weight rows by it too, 318 rows at n = 205.
+# at n = 205 and about 650 at n = 10. forward_rows bounds each batch of
+# (b, E) edge-weight rows it makes by it too, 318 rows at n = 205.
 STACK_BYTES = 1 << 19
 
 # Row cap of one CSR chunk, which also stays within STACK_BYTES. csr_values
@@ -427,26 +438,30 @@ def weighted_adjacency(
 def forward_rows(
     m: ModelSpec,
     g: Graph,
-    weights: np.ndarray,
-    nodes: np.ndarray,
+    num_rows: int,
+    make_rows,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One forward pass per row: row i evaluates the standalone graph of the
-    nodes set in row i of the boolean (B, n) `nodes`, its edges carrying
-    row i of the (B, E) `weights`. Every row keeps at least one node.
-    Returns the (B, C) logits and the (B, C) probabilities.
+    """One forward pass per row 0 .. num_rows - 1, where make_rows(lo, hi)
+    gives rows lo .. hi - 1 as a (hi - lo, E) `weights` and a boolean
+    (hi - lo, n) `nodes`: row i evaluates the standalone graph of the nodes
+    set in its row of `nodes`, its edges carrying its row of `weights`.
+    Every row keeps at least one node. Returns the (num_rows, C) logits and
+    the (num_rows, C) probabilities.
 
+    Rows are made and evaluated a batch at a time, each batch's (b, E)
+    weights within STACK_BYTES, so memory stays bounded on dense graphs.
     Every operator entry comes from csr_values over g's csr_pattern, which
     is built once per call. On a graph whose stored entries fill less than
     CSR_MAX_FILL of the dense cells, every row runs over all n nodes
-    through one CSR operator (see _csr_forward_rows). Otherwise rows are
-    grouped by node count, ascending, from np.bincount of the counts (not
-    np.unique, which imports numpy.ma on numpy 2.4: 1.1-1.5 MB of memory),
-    and each group's dense operators are laid out by weighted_adjacency, a
-    chunk at a time. The biases are tiled once per call, and a row that
-    keeps every node reads g.features itself rather than a gathered copy.
-    forward_dense runs once per row and returns its pooled embedding,
-    readout turns a chunk's pooled rows into logits, and softmax_rows runs
-    once per call.
+    through one CSR operator (see _csr_forward_rows). Otherwise a batch's
+    rows are grouped by node count, ascending, from np.bincount of the
+    counts (not np.unique, which imports numpy.ma on numpy 2.4: 1.1-1.5 MB
+    of memory), and each group's dense operators are laid out by
+    weighted_adjacency, a chunk at a time. The biases are tiled once per
+    batch, and a row that keeps every node reads g.features itself rather
+    than a gathered copy. forward_dense runs once per row and returns its
+    pooled embedding, readout turns a chunk's pooled rows into logits, and
+    softmax_rows runs once per call.
 
     A model whose finite parameters overflow float64 raises
     NumericalFailureError from softmax_rows, with no numpy warning: the
@@ -457,23 +472,28 @@ def forward_rows(
     if g.n == 0:
         raise DataFormatError("cannot evaluate a graph with no nodes")
     pattern = csr_pattern(g.edge_u, g.edge_v, g.n, self_loops=m.conv_kind == "gcn")
+    if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
+        batch_logits = _csr_forward_rows
+    else:
+        batch_logits = _dense_forward_rows
+    step = max(1, STACK_BYTES // (8 * max(1, g.num_undirected_edges)))
+    logits = np.empty((num_rows, m.num_classes))
     with np.errstate(over="ignore", invalid="ignore"):
-        if 2 * g.num_undirected_edges + g.n < CSR_MAX_FILL * g.n * g.n:
-            logits = _csr_forward_rows(m, g, pattern, weights, nodes)
-        else:
-            logits = _dense_forward_rows(m, g, pattern, weights, nodes)
+        for lo in range(0, num_rows, step):
+            hi = min(lo + step, num_rows)
+            batch_logits(m, g, pattern, *make_rows(lo, hi), logits[lo:hi])
         return logits, softmax_rows(logits)
 
 
-def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
-    """forward_rows' logits over each row's kept nodes only: rows grouped by
-    node count, each chunk's (b, s, s) operator stack and its (b, nnz)
-    csr_values within STACK_BYTES, one readout per chunk. The biases are
-    tiled for the largest node count; a group of s nodes adds their first
-    s rows, C-contiguous views with the values of an (s, d) tiling."""
+def _dense_forward_rows(m, g, pattern, weights, nodes, out) -> None:
+    """forward_rows' logits of one batch into `out`, over each row's kept
+    nodes only: rows grouped by node count, each chunk's (b, s, s) operator
+    stack and its (b, nnz) csr_values within STACK_BYTES, one readout per
+    chunk. The biases are tiled for the largest node count; a group of s
+    nodes adds their first s rows, C-contiguous views with the values of an
+    (s, d) tiling."""
     gcn = m.conv_kind == "gcn"
     sizes = nodes.sum(axis=1)
-    out = np.empty((len(sizes), m.num_classes))
     width = m.classifier.w1.shape[0]
     tiled = tiled_biases(m, int(sizes.max(initial=0)))
     # np.unique would import numpy.ma (numpy 2.4), 1.1-1.5 MB of RSS.
@@ -492,23 +512,21 @@ def _dense_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
             for i, (op, x) in enumerate(zip(ops, feats)):
                 pooled[i] = forward_dense(m, op, x, biases)
             out[rows] = readout(m, pooled)
-    return out
 
 
-def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
-    """forward_rows' logits over all n nodes of every row: one CSR of the
-    pattern, its values swapped in row by row from csr_values chunks of
-    at most CSR_CHUNK_ROWS rows and STACK_BYTES, one readout per chunk. A
-    dropped node's entries to and from kept nodes are 0, and forward_dense
-    pools the kept nodes only (a row that keeps every node pools h itself,
-    without a copy), so each row is bitwise the CSR pass of its standalone
-    graph."""
+def _csr_forward_rows(m, g, pattern, weights, nodes, out) -> None:
+    """forward_rows' logits of one batch into `out`, over all n nodes of
+    every row: one CSR of the pattern, its values swapped in row by row
+    from csr_values chunks of at most CSR_CHUNK_ROWS rows and STACK_BYTES,
+    one readout per chunk. A dropped node's entries to and from kept nodes
+    are 0, and forward_dense pools the kept nodes only (a row that keeps
+    every node pools h itself, without a copy), so each row is bitwise the
+    CSR pass of its standalone graph."""
     gcn = m.conv_kind == "gcn"
     rows, cols, _ = pattern
     op = csr_operator(rows, cols, np.zeros(len(cols)), (g.n, g.n))
     biases = tiled_biases(m, g.n)
     step = max(1, min(CSR_CHUNK_ROWS, STACK_BYTES // (8 * max(1, len(cols)))))
-    out = np.empty((len(weights), m.num_classes))
     width = m.classifier.w1.shape[0]
     for lo in range(0, len(weights), step):
         kept = nodes[lo : lo + step]
@@ -519,13 +537,13 @@ def _csr_forward_rows(m, g, pattern, weights, nodes) -> np.ndarray:
             op.data = row_values
             pooled[i] = forward_dense(m, op, g.features, biases, None if full[i] else row_kept)
         out[lo : lo + len(kept)] = readout(m, pooled)
-    return out
 
 
 def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """forward_rows input for the standalone graphs made of the edges set in
-    each row of the boolean (B, E) `kept`: the kept edges' weights, and the
-    endpoints of the kept edges, or every node, isolated, when none is kept.
+    """forward_rows rows, as a make_rows gives them, for the standalone
+    graphs made of the edges set in each row of the boolean (B, E) `kept`:
+    the kept edges' weights, and the endpoints of the kept edges, or every
+    node, isolated, when none is kept.
 
     A node is kept when any of its edges is: the columns of `kept` are
     gathered once with each edge under both its ends, sorted by node, and
@@ -572,19 +590,16 @@ def forward(
         )
     rows = np.asarray(weights, dtype=np.float64)[None]
     check_edge_weights(rows)
-    return _prediction(*forward_rows(m, g, rows, np.ones((1, g.n), dtype=bool)))
+    return _prediction(*forward_rows(m, g, 1, lambda lo, hi: (rows, np.ones((1, g.n), bool))))
 
 
 def forward_on_induced(m: ModelSpec, s: InducedSubgraph) -> Prediction:
     """Forward on the standalone graph built from an induced subgraph; an
     empty subgraph evaluates all parent nodes under a zero adjacency."""
     g = s.parent
-    kept = edge_mask(g, s.edges)
-    nodes = np.zeros((1, g.n), dtype=bool)
-    nodes[0, list(s.nodes)] = True
-    if not s.nodes:
-        nodes[:] = True
-    return _prediction(*forward_rows(m, g, np.where(kept, g.edge_weight, 0.0)[None], nodes))
+    weights = np.where(edge_mask(g, s.edges), g.edge_weight, 0.0)[None]
+    nodes = node_mask(g, s.nodes)[None] if s.nodes else np.ones((1, g.n), bool)
+    return _prediction(*forward_rows(m, g, 1, lambda lo, hi: (weights, nodes)))
 
 
 def _part_to_obj(part) -> dict:

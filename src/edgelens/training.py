@@ -20,6 +20,7 @@ from .models import (
     GCNLayer,
     ModelSpec,
     csr_matmul,
+    csr_matmul_t,
     csr_operator,
     csr_pattern,
     csr_values,
@@ -147,16 +148,6 @@ def _check_dataset(dataset, num_classes: int) -> int:
     return input_dim
 
 
-def _transpose(op: CSR) -> CSR:
-    """op.T as a CSR, entry for entry what scipy's op.T.tocsr() gives: the
-    entries sorted by column and then by row."""
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    # A stable sort by the packed key column * (row count) + row: the order of
-    # np.lexsort((rows, op.indices)).
-    order = (op.indices * op.shape[0] + rows).argsort(kind="stable")
-    return csr_operator(op.indices[order], rows[order], op.data[order], op.shape[::-1])
-
-
 class _Batch:
     """All graphs stacked into one block-diagonal system, so an epoch is a
     handful of sparse matmuls instead of a Python loop over the dataset.
@@ -165,6 +156,8 @@ class _Batch:
     blocks of one graph, its values from models.csr_values: a degree sums
     its node's row only, so each block is its graph's D^-1/2 (A + I) D^-1/2
     as the explainer normalizes it, without the zeros of a dense block. The
+    backward takes its products by norm.T and pool.T from these same
+    arrays, through models.csr_matmul_t; no transposed copy is stored. The
     batch also owns every per-node array an epoch writes, shaped for the
     layers of `m`, and keeps them between epochs: freed at the end of an
     epoch, their pages can go back to the kernel and the next epoch faults
@@ -215,12 +208,6 @@ class _Batch:
             np.append(offsets, n_total), np.arange(n_total), weights, (len(graphs), n_total)
         )
 
-        # The backward products by the transposes, stored as CSR: the same
-        # products, term for term and in the same order, as by the CSC
-        # views of the transposes, and they can write into a buffer.
-        self.norm_t = _transpose(self.norm)
-        self.pool_t = _transpose(self.pool)
-
         widths = [layer.weight.shape[1] for layer in m.layers]
         self.msgs = [csr_matmul(self.norm, self.x)] + [np.empty((n_total, w)) for w in widths[:-1]]
         self.active = [np.empty((n_total, w), dtype=bool) for w in widths]
@@ -268,14 +255,14 @@ def _batched_loss_and_grads(
     out = [a1.T @ dlogits, dlogits.sum(axis=0)]
     du1 = (dlogits @ cls.w2.T) * (u1 > 0)
     out[:0] = [pooled.T @ du1, du1.sum(axis=0)]
-    dz = csr_matmul(batch.pool_t, du1 @ cls.w1.T, out=h)
+    dz = csr_matmul_t(batch.pool, du1 @ cls.w1.T, out=h)
     for k in range(len(m.layers) - 1, -1, -1):
         dz *= batch.active[k]
         out[:0] = [batch.msgs[k].T @ dz, dz.sum(axis=0)]
         if k > 0:
             np.matmul(dz, m.layers[k].weight.T, out=batch.msgs[k])
             dz = batch.node_view(batch.msgs[k].shape[1])
-            csr_matmul(batch.norm_t, batch.msgs[k], out=dz)
+            csr_matmul_t(batch.norm, batch.msgs[k], out=dz)
     return loss, accuracy, dict(zip(m.parameter_arrays(), out))
 
 

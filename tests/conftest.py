@@ -134,9 +134,9 @@ def random_model(rng, feature_dim=3, num_layers=2, hidden_dim=4, num_classes=2):
 
 
 def operator_rows(g, rng):
-    """forward_rows input of 31 rows of g: all nodes at g's weights, then
-    10 re-weighted rows (some edges at 0), 10 edge-induced rows and 10
-    node-induced rows at g's weights."""
+    """The weights and node masks of 31 forward_rows rows of g: all nodes
+    at g's weights, then 10 re-weighted rows (some edges at 0), 10
+    edge-induced rows and 10 node-induced rows at g's weights."""
     num_edges = g.num_undirected_edges
     reweighted_rows = rng.uniform(size=(10, num_edges))
     reweighted_rows[rng.uniform(size=reweighted_rows.shape) < 0.3] = 0.0

@@ -5,7 +5,6 @@ models.CSR_MAX_FILL take the CSR path and match the loop CSR reference
 bitwise and the dense one to 1e-12; the others match the dense one
 bitwise."""
 
-import sys
 import tracemalloc
 import warnings
 
@@ -32,7 +31,7 @@ from edgelens import (
 )
 from edgelens import models
 from edgelens.data import DatasetRecord
-from edgelens.models import STACK_BYTES, csr_matmul, forward_rows, subgraph_rows
+from edgelens.models import STACK_BYTES, csr_matmul, csr_matmul_t, forward_rows, subgraph_rows
 
 from conftest import assert_one_gcn_normalization, gin_model, overflowing, path_graph, reweighted
 from reference_engine import (
@@ -46,8 +45,6 @@ from reference_engine import (
     loop_scores,
     normalized_adjacency,
 )
-
-explain_module = sys.modules["edgelens.explain"]
 
 FEATURES = 10
 
@@ -144,10 +141,11 @@ def test_dense_and_csr_paths_share_one_degree_order(seed):
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("d", [1, 7, 32])
 def test_csr_matmul_is_scipy_product(index_dtype, d):
-    """models.csr_matmul calls scipy's kernel directly: pinned bitwise to
-    operator @ h, so a scipy release that moves or changes the kernel fails
-    here. The same bits when it overwrites a given buffer, and for the CSR
-    copy of a transpose against the CSC view .T (the trainer's backward)."""
+    """models.csr_matmul and csr_matmul_t call scipy's kernels directly:
+    pinned bitwise to operator @ h and operator.T @ g (the trainer's
+    backward), so a scipy release that moves or changes a kernel fails
+    here. The same bits when either overwrites a given buffer, and either
+    refuses an `out` that overlaps its input."""
     rng = np.random.default_rng(33)
     a = sp.random(205, 180, density=0.02, format="csr", random_state=34)
     a.indices = a.indices.astype(index_dtype)
@@ -166,9 +164,13 @@ def test_csr_matmul_is_scipy_product(index_dtype, d):
             csr_matmul(op, h, out=bad)
 
     g = rng.uniform(-1.0, 1.0, size=(205, d))
-    t = a.T.tocsr()
-    t_op = models.CSR(t.indptr, t.indices, t.data, t.shape)
-    np.testing.assert_array_equal(csr_matmul(t_op, g), a.T @ g)
+    got_t = csr_matmul_t(op, g)
+    np.testing.assert_array_equal(got_t, a.T @ g)
+    buffer = np.full((180, d), np.nan)
+    assert csr_matmul_t(op, g, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, got_t)
+    with pytest.raises(ValueError, match="share memory"):
+        csr_matmul_t(op, g, out=g[:180])
 
 
 def test_csr_matmul_rejects_out_overlapping_h():
@@ -186,6 +188,11 @@ def test_csr_matmul_rejects_out_overlapping_h():
     disjoint = buffer[4:].reshape(2, 2)
     assert csr_matmul(op, h, out=disjoint) is disjoint
     np.testing.assert_array_equal(disjoint, [[3.0, 3.0], [7.0, 7.0]])
+
+
+def given_rows(m, g, weights, nodes):
+    """forward_rows of the given (B, E) weights and boolean (B, n) nodes."""
+    return forward_rows(m, g, len(weights), lambda lo, hi: (weights[lo:hi], nodes[lo:hi]))
 
 
 def matmul_pooled(m, operator, features, kept=None):
@@ -347,7 +354,7 @@ def test_non_finite_row_inside_a_batch_fails_typed(kind, base_nodes, bad, monkey
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError, match="non-finite logits"):
-            forward_rows(m, g, weights, nodes)
+            given_rows(m, g, weights, nodes)
     assert len(passes) == 5
 
 
@@ -484,7 +491,7 @@ def test_brute_force_across_subset_blocks_matches_reference(kind, name, monkeypa
     not depend on the chunk boundaries."""
     m = MODELS[kind]()
     g = Graph.undirected(*BLOCK_GRAPHS[name])
-    monkeypatch.setattr(explain_module, "STACK_BYTES", 8 * g.num_undirected_edges * 7)
+    monkeypatch.setattr(models, "STACK_BYTES", 8 * g.num_undirected_edges * 7)
     for c in (0, 1):
         assert brute_force_best_subgraph(m, g, c) == loop_brute_force(m, g, c)
 
@@ -537,7 +544,7 @@ def test_mixed_row_batch_matches_reference(kind, monkeypatch):
         return stack
 
     monkeypatch.setattr(models, "weighted_adjacency", recorded)
-    _, got = forward_rows(m, g, weights[order], nodes[order])
+    _, got = given_rows(m, g, weights[order], nodes[order])
     full = [b for b, s, _ in built if s == g.n]
     assert len(full) >= 2 and max(full) <= per_chunk and sum(b for b, _, _ in built) == len(order)
     for probs, i in zip(got, order):
@@ -579,7 +586,7 @@ def test_mixed_row_batch_through_csr_matches_reference(kind, monkeypatch):
     nodes = np.concatenate((np.ones((len(reweights), g.n), bool), fid_nodes, induced))
     order = rng.permutation(len(weights))
     built = record_builds(monkeypatch, "csr_values")
-    _, got = forward_rows(m, g, weights[order], nodes[order])
+    _, got = given_rows(m, g, weights[order], nodes[order])
     chunks = [b for _, b in built]
     assert len(chunks) >= 2 and max(chunks) == per_chunk and sum(chunks) == len(order)
     references = (loop_csr_probabilities, loop_probabilities)
@@ -677,21 +684,22 @@ def loop_sa_scores(m, g, c, h=1e-3):
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_dense_graph_builds_rows_a_chunk_at_a_time(kind, monkeypatch):
     """On a complete graph, with the byte bound patched down to 5 rows of E
-    weights, every forward_rows batch of the scorers and the search holds at
-    most 5 rows, and the results still match the reference (IG: the result
-    with the bound unpatched)."""
+    weights, every batch of rows that forward_rows makes for the scorers
+    and the search holds at most 5 rows, and the results still match the
+    reference (IG: the result with the bound unpatched)."""
     m = MODELS[kind]()
     g = complete_graph(16, seed=28)
     ig = ig_edge_scores(m, g, 0, steps=2).values
     per_chunk = 5
-    monkeypatch.setattr(explain_module, "STACK_BYTES", 8 * g.num_undirected_edges * per_chunk)
+    monkeypatch.setattr(models, "STACK_BYTES", 8 * g.num_undirected_edges * per_chunk)
     batches = []
+    batch_logits = models._dense_forward_rows
 
-    def recorded(m, g, weights, nodes):
+    def recorded(m, g, pattern, weights, nodes, out):
         batches.append(len(weights))
-        return forward_rows(m, g, weights, nodes)
+        return batch_logits(m, g, pattern, weights, nodes, out)
 
-    monkeypatch.setattr(explain_module, "forward_rows", recorded)
+    monkeypatch.setattr(models, "_dense_forward_rows", recorded)
     e = explain(m, g)
     c = e.target_class
     np.testing.assert_array_equal(e.scores, loop_scores(m, g, c))
@@ -700,9 +708,10 @@ def test_dense_graph_builds_rows_a_chunk_at_a_time(kind, monkeypatch):
     np.testing.assert_array_equal(sa_edge_scores(m, g, c).values, loop_sa_scores(m, g, c))
     np.testing.assert_array_equal(ig_edge_scores(m, g, 0, steps=2).values, ig)
     assert max(batches) == per_chunk
-    # E scoring rows, 2E search rows, 2E SA rows and 2 (E + 1) IG rows;
-    # models.forward makes the original pass.
-    assert sum(batches) == 7 * g.num_undirected_edges + 2
+    # E scoring rows, 2E search rows, 2E SA rows and 2 (E + 1) IG rows,
+    # and the one row of explain's original pass, which models.forward
+    # runs through forward_rows too.
+    assert sum(batches) == 7 * g.num_undirected_edges + 3
 
 
 def test_dense_graph_memory_is_bounded():
@@ -730,7 +739,7 @@ def test_small_rows_of_a_dense_graph_are_chunked_by_their_values():
     weights, nodes = subgraph_rows(g, kept)
     tracemalloc.start()
     try:
-        forward_rows(m, g, weights, nodes)
+        given_rows(m, g, weights, nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

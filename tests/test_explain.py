@@ -92,6 +92,17 @@ class TestRanking:
     def test_descending_with_index_ties(self):
         s = EdgeScores(values=np.array([0.3, 0.9, 0.3, -1.0]), target_class=0)
         assert rank_edges(s) == (1, 0, 2, 3)
+        # Two tie groups, one of them signed zeros, which rank as equal.
+        s = EdgeScores(values=np.array([0.0, -0.0, 0.3, 0.3, -0.0]), target_class=0)
+        assert rank_edges(s) == (2, 3, 0, 1, 4)
+        # The tuple-key sort as the reference, on draws full of ties,
+        # signed zeros and subnormals.
+        rng = np.random.default_rng(22)
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.3, -0.3, 1.0])
+        for size in range(1, 40):
+            vals = rng.choice(pool, size)
+            want = tuple(sorted(range(size), key=lambda i: (-vals[i], i)))
+            assert rank_edges(EdgeScores(values=vals, target_class=0)) == want
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(23)

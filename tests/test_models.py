@@ -9,6 +9,8 @@ import pytest
 from edgelens import (
     DataFormatError,
     Graph,
+    InducedSubgraph,
+    InvalidSelectionError,
     ModelFormatError,
     ModelSpec,
     fidelity_minus,
@@ -246,6 +248,15 @@ class TestForwardOnInduced:
         a = forward_on_induced(small_model, s)
         zeroed = forward(small_model, path3, weights=np.zeros(2))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
+
+    @pytest.mark.parametrize("node", [-1, 9, 1.5, True])
+    def test_rejects_bad_node_ids(self, path4, small_model, forward_dense_calls, node):
+        """A node id that is not an integer in [0, n) raises the typed error
+        that a bad edge index raises, before any pass: -1 does not wrap
+        around to node 3, and 9 and 1.5 give no raw IndexError."""
+        with pytest.raises(InvalidSelectionError, match="node ids"):
+            forward_on_induced(small_model, InducedSubgraph(path4, (node,), ()))
+        assert forward_dense_calls == []
 
 
 @pytest.mark.parametrize("self_loops", [False, True])

@@ -10,6 +10,7 @@ import pytest
 
 from edgelens import Graph, TrainConfig, gen_ba2motifs_mini, init_gcn, train_gcn
 from edgelens.data import DatasetRecord
+from edgelens.models import csr_matmul_t
 from edgelens.training import _Batch, _batched_loss_and_grads
 
 from conftest import assert_one_gcn_normalization, scipy_csr
@@ -95,19 +96,21 @@ def test_block_adjacency_is_the_dense_blocks_without_zeros(corpus, which):
         assert (norm.nnz, stored.nnz) == (6200, 20000)
 
 
+@pytest.mark.parametrize("d", [1, 8])
 @pytest.mark.parametrize("pooling", ["mean", "sum"])
 @pytest.mark.parametrize("which", ["corpus", "weighted"])
-def test_batch_transposes_are_scipy_transposes(corpus, which, pooling):
-    """The trainer's backward operators norm_t and pool_t hold, entry for
-    entry and in the same order, the arrays of scipy's .T.tocsr() of norm
-    and pool, whose products the reference trainer takes."""
+def test_batch_transposed_products_are_scipy_products(corpus, which, pooling, d):
+    """The trainer's backward products by norm.T and pool.T, csr_matmul_t of
+    the batch's own operators, are bitwise scipy's op.T @ h, the products
+    the reference trainer takes."""
     ds = corpus if which == "corpus" else weighted_dataset()
     batch = _Batch(ds, init_gcn(ds[0].graph.d, 2, 8, 3, pooling=pooling))
-    for op, op_t in ((batch.norm, batch.norm_t), (batch.pool, batch.pool_t)):
-        want = scipy_csr(op).T.tocsr()
-        assert op_t.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(op_t, name), getattr(want, name))
+    rng = np.random.default_rng(d)
+    for op in (batch.norm, batch.pool):
+        h = rng.uniform(-1.0, 1.0, size=(op.shape[0], d))
+        got = csr_matmul_t(op, h)
+        assert got.shape == (op.shape[1], d)
+        np.testing.assert_array_equal(got, scipy_csr(op).T @ h)
 
 
 def test_batch_normalizes_as_the_engine():
