@@ -108,7 +108,7 @@ def gen_ba2motifs_mini(
 ) -> list[DatasetRecord]:
     """Balanced two-class corpus: preferential-attachment base plus one
     planted motif, house (class 0) or pentagon (class 1). ValueError unless
-    n_graphs is an integer >= 0 and base_nodes one >= 5.
+    n_graphs and seed are integers >= 0 and base_nodes one >= 5.
 
     Each graph draws its tree's picks in node order, then the anchor that
     joins the motif to the base. Every bound is known up front, so the
@@ -117,6 +117,7 @@ def gen_ba2motifs_mini(
     the same state (tests/test_data.py pins this numpy fact)."""
     check_count("n_graphs", n_graphs, least=0)
     check_count("base_nodes", base_nodes, least=5)
+    check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     bounds = np.append(_tree_bounds(base_nodes), base_nodes)
     draws = rng.integers(0, np.tile(bounds, n_graphs)).reshape(n_graphs, len(bounds))
@@ -135,8 +136,8 @@ def gen_varsize_motifs(
 ) -> list[DatasetRecord]:
     """Class 1 graphs carry 1..max_motifs vertex-disjoint 3-node stars, so
     ground-truth explanations vary in size and can be disconnected; class 0
-    graphs carry none. ValueError unless n_graphs is an integer >= 0,
-    max_motifs one >= 1 and base_nodes one >= 2.
+    graphs carry none. ValueError unless n_graphs and seed are integers
+    >= 0, max_motifs one >= 1 and base_nodes one >= 2.
 
     Each graph draws its tree's picks in node order, in one draw with an
     array of bounds as gen_ba2motifs_mini does; a class 1 graph then draws
@@ -144,6 +145,7 @@ def gen_varsize_motifs(
     check_count("n_graphs", n_graphs, least=0)
     check_count("max_motifs", max_motifs)
     check_count("base_nodes", base_nodes, least=2)
+    check_count("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     tree_bounds = _tree_bounds(base_nodes)
     records = []

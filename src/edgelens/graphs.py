@@ -25,18 +25,6 @@ from .errors import (
 GRAPH_SCHEMA_VERSION = 1
 
 
-def check_edge_weights(w: np.ndarray) -> None:
-    """Raise DataFormatError unless every weight of the float64 array `w`
-    is finite and in [0, 1], naming the first that is not.
-
-    A NaN makes the minimum and the maximum NaN, and each comparison with
-    NaN is False, so the two reductions reject it as they reject an
-    infinity; the weight is located only on failure."""
-    if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
-        valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
-        raise DataFormatError(f"edge weight {w.flat[np.argmin(valid)]} outside [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """An attributed undirected graph.
@@ -62,8 +50,11 @@ class Graph:
             raise DataFormatError(f"features must be (n, d), got {feats.shape}")
         if not np.isfinite(feats).all():
             raise DataFormatError("features contain NaN/Inf")
-        a = np.asarray(self.edge_u, dtype=np.int64)
-        b = np.asarray(self.edge_v, dtype=np.int64)
+        a, b = np.asarray(self.edge_u), np.asarray(self.edge_v)
+        # An empty list reads as float64; bools and floats are not ids.
+        if a.size and a.dtype.kind not in "iu" or b.size and b.dtype.kind not in "iu":
+            raise DataFormatError(f"edge endpoints must be integers, got {a.dtype} and {b.dtype}")
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         w = np.array(self.edge_weight, dtype=np.float64)
         if not (a.ndim == b.ndim == w.ndim == 1 and len(a) == len(b) == len(w)):
             raise DataFormatError(
@@ -80,7 +71,11 @@ class Graph:
             raise DataFormatError(f"edge ({a[i]}, {b[i]}) out of range for n={n}")
         if (u == v).any():
             raise DataFormatError("self-loops are not allowed in input graphs")
-        check_edge_weights(w)
+        # A NaN fails both comparisons, as an infinity fails one; the weight
+        # is located only on failure.
+        if w.size and not (w.min() >= 0.0 and w.max() <= 1.0):
+            valid = np.isfinite(w) & (w >= 0.0) & (w <= 1.0)
+            raise DataFormatError(f"edge weight {w.flat[np.argmin(valid)]} outside [0, 1]")
         w += 0.0  # stores -0.0 as 0.0: -0.0 + 0.0 is +0.0
         # A stable sort by the packed key u * n + v orders the edges by u
         # and then by v, as np.lexsort((v, u)) does, and keeps equal keys
@@ -130,11 +125,20 @@ class Graph:
 @dataclass(frozen=True)
 class InducedSubgraph:
     """A subgraph of `parent` given by node ids and undirected edge indices,
-    each ascending."""
+    each stored ascending and once. InvalidSelectionError for an id not an
+    integer in range, or an edge with an endpoint outside the nodes."""
 
     parent: Graph
     nodes: tuple[int, ...]
     edges: tuple[int, ...]
+
+    def __post_init__(self):
+        nodes, edges = node_mask(self.parent, self.nodes), edge_mask(self.parent, self.edges)
+        outside = np.flatnonzero(edges & ~internal_edges(self.parent, nodes)).tolist()
+        if outside:
+            raise InvalidSelectionError(f"edge indices {outside} have endpoints outside the nodes")
+        object.__setattr__(self, "nodes", tuple(np.flatnonzero(nodes).tolist()))
+        object.__setattr__(self, "edges", tuple(np.flatnonzero(edges).tolist()))
 
     @property
     def num_nodes(self) -> int:
@@ -214,16 +218,31 @@ def node_mask(g: Graph, vs: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def _internal_edges(g: Graph, vs: Iterable[int]) -> frozenset[int]:
-    """The parent edges with both endpoints in vs."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(vs)] = True
-    return frozenset(np.flatnonzero(inside[g.edge_u] & inside[g.edge_v]).tolist())
+def endpoint_nodes(g: Graph, kept: np.ndarray) -> np.ndarray:
+    """The edge-induced rule: the boolean (..., n) mask of the endpoints of
+    the edges set in the boolean (..., E) `kept`.
+
+    A node is kept when any of its edges is: the columns of `kept` are
+    gathered once with each edge under both its ends, sorted by node, and
+    each node's run of them is or-reduced. Only boolean (..., 2E) arrays
+    are made, no index array per kept edge."""
+    nodes = np.zeros((*kept.shape[:-1], g.n), dtype=bool)
+    if g.num_undirected_edges:
+        ends = np.concatenate((g.edge_u, g.edge_v))
+        count = np.bincount(ends, minlength=g.n)
+        touched = np.flatnonzero(count)
+        starts = (np.cumsum(count) - count)[touched]
+        # numpy's default argsort maps about 256 KB of SIMD sort code that
+        # no other pass touches; the stable sort shares csr_pattern's.
+        by_node = np.argsort(ends, kind="stable") % g.num_undirected_edges
+        nodes[..., touched] = np.logical_or.reduceat(kept[..., by_node], starts, axis=-1)
+    return nodes
 
 
-def _endpoints(g: Graph, es: Iterable[int]) -> frozenset[int]:
-    """The endpoints of the edges es."""
-    return frozenset(v for e in es for v in g.undirected_endpoints(e))
+def internal_edges(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """The node-induced rule: the boolean (..., E) mask of the edges with
+    both endpoints set in the boolean (..., n) `nodes`."""
+    return nodes[..., g.edge_u] & nodes[..., g.edge_v]
 
 
 def induce_by_nodes(g: Graph, vs: Iterable[int]) -> InducedSubgraph:
@@ -240,12 +259,12 @@ def induce_by_nodes_and_edges(
     g: Graph, vs: Iterable[int], es: Iterable[int]
 ) -> InducedSubgraph:
     """Union technique: nodes = vs + endpoints(es), edges = es + internal(vs)."""
-    vs = _check_ids(vs, g.n, "node ids")
-    es = _check_ids(es, g.num_undirected_edges, "edge indices")
+    nodes = node_mask(g, vs)
+    edges = edge_mask(g, es)
     return InducedSubgraph(
         parent=g,
-        nodes=tuple(sorted(vs | _endpoints(g, es))),
-        edges=tuple(sorted(es | _internal_edges(g, vs))),
+        nodes=tuple(np.flatnonzero(nodes | endpoint_nodes(g, edges)).tolist()),
+        edges=tuple(np.flatnonzero(edges | internal_edges(g, nodes)).tolist()),
     )
 
 
@@ -303,19 +322,18 @@ def enumerate_connected_edge_subgraphs(
     tuples, each exactly once, in canonical (lexicographic) order.
 
     Subsets are grown from their minimum edge so every connected subset is
-    produced once without a power-set sweep.
+    produced once without a power-set sweep. ValueError unless cap is an
+    integer >= 0.
     """
+    check_count("cap", cap, least=0)
     m = g.num_undirected_edges
     if m > cap:
         raise EnumerationTooLargeError(f"{m} edges exceeds cap {cap}")
-    adj = [set() for _ in range(m)]
-    at_node: dict[int, list[int]] = {}
-    for i in range(m):
-        for v in g.undirected_endpoints(i):
-            at_node.setdefault(v, []).append(i)
-    for edges in at_node.values():
-        for i in edges:
-            adj[i].update(j for j in edges if j != i)
+    # Edges i and j are adjacent when their endpoint rows share a node.
+    ends = endpoint_nodes(g, np.eye(m, dtype=bool))
+    shared = ends @ ends.T
+    np.fill_diagonal(shared, False)
+    adj = [set(np.flatnonzero(row).tolist()) for row in shared]
     out: list[tuple[int, ...]] = []
 
     def grow(sub: set[int], ext: list[int], excluded: set[int], root: int):
@@ -337,12 +355,6 @@ def enumerate_connected_edge_subgraphs(
     return sorted(out)
 
 
-def _node_reachable(g: Graph, edge_subset: tuple[int, ...]) -> bool:
-    """True when the node technique can produce edge_subset as a component:
-    the subset must contain every parent edge among its endpoints."""
-    return _internal_edges(g, _endpoints(g, edge_subset)) == set(edge_subset)
-
-
 def exhaustiveness(technique: str, g: Graph, cap: int = 16) -> float:
     """Fraction of the graph's connected edge-bearing subgraphs producible
     as a component of some selection under the technique."""
@@ -354,8 +366,10 @@ def exhaustiveness(technique: str, g: Graph, cap: int = 16) -> float:
     if technique in ("edge", "node-and-edge"):
         # Selecting exactly the subset (with an empty node set) realizes it.
         return 1.0
-    reachable = sum(1 for sub in all_subs if _node_reachable(g, sub))
-    return reachable / len(all_subs)
+    # The node technique yields S as a component iff S holds its internal edges.
+    subs = np.array([edge_mask(g, sub) for sub in all_subs])
+    reachable = (internal_edges(g, endpoint_nodes(g, subs)) == subs).all(axis=1)
+    return int(reachable.sum()) / len(all_subs)
 
 
 def save_graph(g: Graph, path) -> None:

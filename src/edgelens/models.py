@@ -24,8 +24,9 @@ from .errors import DataFormatError, ModelFormatError, NumericalFailureError
 from .graphs import (
     Graph,
     InducedSubgraph,
-    check_edge_weights,
     edge_mask,
+    endpoint_nodes,
+    internal_edges,
     is_integer,
     is_real,
     node_mask,
@@ -107,6 +108,23 @@ class ModelSpec:
         for i, layer in enumerate(self.layers):
             if not isinstance(layer, layer_type):
                 raise ModelFormatError(f"layer {i} is not a {layer_type.__name__}")
+        # Each part's arrays are stored as float64: a weight 2-D, a bias
+        # 1-D, each of finite numbers.
+        for prefix, part in self._parts():
+            for i, name in enumerate(part.arrays):
+                where, ndim = f"{prefix}.{name}", 2 - i % 2
+                try:
+                    arr = np.asarray(getattr(part, name))
+                except ValueError as exc:
+                    raise ModelFormatError(f"{where}: {exc}") from exc
+                if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+                    raise ModelFormatError(
+                        f"{where} of {arr.dtype} values and shape {arr.shape} "
+                        f"is not a {ndim}-D array of numbers"
+                    )
+                if not np.isfinite(arr).all():
+                    raise ModelFormatError(f"{where} contains non-finite parameters")
+                object.__setattr__(part, name, arr.astype(np.float64, copy=False))
         dim = self.input_dim
         for prefix, part in self._parts():
             for w, b in _pairs(part):
@@ -117,9 +135,6 @@ class ModelSpec:
                 dim = w.shape[1]
         if dim != self.num_classes:
             raise ModelFormatError("classifier output dimension mismatch")
-        for arr in self.parameter_arrays().values():
-            if not np.all(np.isfinite(arr)):
-                raise ModelFormatError("model contains non-finite parameters")
 
     @property
     def input_dim(self) -> int:
@@ -374,18 +389,18 @@ def csr_values(
     """(b, nnz) values of the csr_pattern entries, one row per row of the
     (b, E) `weights` and the boolean (b, n) `nodes`.
 
-    An edge entry carries weights[i, e] when both endpoints are kept in row
-    i and 0 otherwise; a self loop carries 1. For a GCN each value is then
-    scaled to (w * d_i) * d_j, the entries of D^-1/2 (A + I) D^-1/2, with
-    d_i the inverse square root of node i's entries summed one by one in
-    column order: a stored 0 leaves such a sum unchanged, so each kept node
-    gets the degree of its standalone graph. This is the one place a GCN
-    degree is computed.
+    An edge entry carries weights[i, e] when e is among the internal_edges
+    of row i's nodes and 0 otherwise; a self loop carries 1. For a GCN each
+    value is then scaled to (w * d_i) * d_j, the entries of
+    D^-1/2 (A + I) D^-1/2, with d_i the inverse square root of node i's
+    entries summed one by one in column order: a stored 0 leaves such a
+    sum unchanged, so each kept node gets the degree of its standalone
+    graph. This is the one place a GCN degree is computed.
     """
     rows, cols, source = pattern
     b, n, num_edges = len(nodes), g.n, g.num_undirected_edges
     w = np.ones((b, num_edges + 1))
-    w[:, :num_edges] = np.where(nodes[:, g.edge_u] & nodes[:, g.edge_v], weights, 0.0)
+    w[:, :num_edges] = np.where(internal_edges(g, nodes), weights, 0.0)
     values = w[:, source]
     if gcn:
         # bincount adds its weights in input order: per row, column order
@@ -541,28 +556,12 @@ def _csr_forward_rows(m, g, pattern, weights, nodes, out) -> None:
 
 def subgraph_rows(g: Graph, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """forward_rows rows, as a make_rows gives them, for the standalone
-    graphs made of the edges set in each row of the boolean (B, E) `kept`:
-    the kept edges' weights, and the endpoints of the kept edges, or every
-    node, isolated, when none is kept.
-
-    A node is kept when any of its edges is: the columns of `kept` are
-    gathered once with each edge under both its ends, sorted by node, and
-    each node's run of them is or-reduced. Only boolean (B, 2E) arrays are
-    made, no index array per kept edge. The weights are kept * edge_weight:
-    a Graph stores no -0.0 weight, so a dropped edge's 0 * w is +0.0 and
-    the product has the bits of np.where(kept, edge_weight, 0.0), in about
-    a quarter of its time."""
+    graphs of the edges set in each row of the boolean (B, E) `kept`: the
+    kept edges' weights, and their graphs.endpoint_nodes, or every node,
+    isolated, when none is kept. A Graph stores no -0.0 weight, so
+    kept * edge_weight has the bits of np.where(kept, edge_weight, 0.0)."""
     weights = kept * g.edge_weight
-    nodes = np.zeros((len(kept), g.n), dtype=bool)
-    if g.num_undirected_edges:
-        ends = np.concatenate((g.edge_u, g.edge_v))
-        count = np.bincount(ends, minlength=g.n)
-        touched = np.flatnonzero(count)
-        starts = (np.cumsum(count) - count)[touched]
-        # numpy's default argsort maps about 256 KB of SIMD sort code that
-        # no other pass touches; the stable sort shares csr_pattern's.
-        by_node = np.argsort(ends, kind="stable") % g.num_undirected_edges
-        nodes[:, touched] = np.logical_or.reduceat(kept[:, by_node], starts, axis=1)
+    nodes = endpoint_nodes(g, kept)
     nodes[~nodes.any(axis=1)] = True
     return weights, nodes
 
@@ -574,23 +573,11 @@ def _prediction(logits: np.ndarray, probs: np.ndarray) -> Prediction:
     )
 
 
-def forward(
-    m: ModelSpec,
-    g: Graph,
-    weights: np.ndarray | None = None,
-) -> Prediction:
-    """Forward on g, or on g with its edges re-weighted to the (E,) vector
-    `weights`, each finite and in [0, 1] as a Graph's; g itself is
-    untouched."""
-    if weights is None:
-        weights = g.edge_weight
-    elif np.shape(weights) != (g.num_undirected_edges,):
-        raise DataFormatError(
-            f"weights of shape {np.shape(weights)} for {g.num_undirected_edges} edges"
-        )
-    rows = np.asarray(weights, dtype=np.float64)[None]
-    check_edge_weights(rows)
-    return _prediction(*forward_rows(m, g, 1, lambda lo, hi: (rows, np.ones((1, g.n), bool))))
+def forward(m: ModelSpec, g: Graph) -> Prediction:
+    """Forward on g. A re-weighted pass is a forward on a Graph of g's
+    endpoints and the new weights, which that Graph checks."""
+    rows = g.edge_weight[None], np.ones((1, g.n), bool)
+    return _prediction(*forward_rows(m, g, 1, lambda lo, hi: rows))
 
 
 def forward_on_induced(m: ModelSpec, s: InducedSubgraph) -> Prediction:
@@ -664,24 +651,20 @@ def model_from_json(text: str) -> ModelSpec:
 
 
 def _arrays(obj, names: tuple[str, ...], where: str) -> dict[str, np.ndarray]:
-    """The float64 arrays `names`, (weight, bias) pairs, of one model part:
-    a matrix for each weight, a vector for each bias. A part that is not an
-    object, lacks one of them or holds anything else raises
-    ModelFormatError."""
+    """The float64 arrays `names` of one model part, each of JSON numbers;
+    ModelSpec checks their shapes. A part that is not an object, lacks one
+    of them or holds anything else raises ModelFormatError."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} is not a JSON object")
     missing = [name for name in names if name not in obj]
     if missing:
         raise ModelFormatError(f"{where} missing arrays {missing}")
     out = {}
-    for i, name in enumerate(names):
+    for name in names:
         try:
-            arr = number_array(obj[name])
+            out[name] = number_array(obj[name])
         except ValueError as exc:
             raise ModelFormatError(f"{where} {name}: {exc}") from exc
-        if arr.ndim != (1 if i % 2 else 2):
-            raise ModelFormatError(f"{where} {name} has shape {arr.shape}")
-        out[name] = arr
     return out
 
 

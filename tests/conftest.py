@@ -66,11 +66,16 @@ def reweighted(g, edges, value):
     return w
 
 
+def with_weights(g, w):
+    """g with its edges re-weighted to w, as a Graph, which checks them."""
+    return Graph(g.features, g.edge_u, g.edge_v, w)
+
+
 def one_edge_drops(m, g, c):
     """p(G) - p(G with w_e = 0) of class c for each edge e, one pass each."""
     p = forward(m, g).probabilities[c]
     return np.array([
-        p - forward(m, g, weights=reweighted(g, [e], 0.0)).probabilities[c]
+        p - forward(m, with_weights(g, reweighted(g, [e], 0.0))).probabilities[c]
         for e in range(g.num_undirected_edges)
     ])
 

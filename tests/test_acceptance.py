@@ -40,7 +40,14 @@ from edgelens.data import DatasetRecord
 from edgelens.graphs import Graph, components
 from edgelens.models import forward
 
-from conftest import one_edge_drops, path_graph, random_graph, random_model, reweighted
+from conftest import (
+    one_edge_drops,
+    path_graph,
+    random_graph,
+    random_model,
+    reweighted,
+    with_weights,
+)
 from reference_training import finite_difference_check
 
 # ---------------------------------------------------------------------------
@@ -189,7 +196,7 @@ def test_criterion_5_weight_zero_is_deletion():
             int(e)
             for e in rng.choice(mcount, size=int(rng.integers(1, mcount + 1)), replace=False)
         )
-        zeroed = forward(m, g, weights=reweighted(g, drop, 0.0))
+        zeroed = forward(m, with_weights(g, reweighted(g, drop, 0.0)))
         kept = [
             (*g.undirected_endpoints(i), g.undirected_weight(i))
             for i in range(mcount)

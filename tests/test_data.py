@@ -204,10 +204,14 @@ class TestBa2MotifsMini:
             ({"n_graphs": 2.0}, "n_graphs must be an integer"),
             ({"base_nodes": 6.0}, "base_nodes must be an integer"),
             ({"base_nodes": True}, "base_nodes must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": "1"}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_bad_counts_rejected(self, kwargs, message):
-        # -1 gave an empty corpus, True one graph, the floats a bare TypeError.
+        # -1 gave an empty corpus, True one graph, the floats a bare TypeError;
+        # seed=1.5 a raw TypeError and seed=-1 numpy's own message.
         with pytest.raises(ValueError, match=message):
             gen_ba2motifs_mini(**{"n_graphs": 2, **kwargs})
 
@@ -252,10 +256,14 @@ class TestVarsizeMotifs:
             ({"max_motifs": 0}, "max_motifs must be >= 1"),
             ({"base_nodes": 3.0}, "base_nodes must be an integer"),
             ({"base_nodes": 1}, "base_nodes must be >= 2"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_bad_counts_rejected(self, kwargs, message):
-        # max_motifs=1.5 ran, the float counts gave a bare TypeError.
+        # max_motifs=1.5 ran, the float counts gave a bare TypeError, and so
+        # did seed=1.5.
         with pytest.raises(ValueError, match=message):
             gen_varsize_motifs(**{"n_graphs": 2, **kwargs})
 

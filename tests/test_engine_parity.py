@@ -33,7 +33,14 @@ from edgelens import models
 from edgelens.data import DatasetRecord
 from edgelens.models import STACK_BYTES, csr_matmul, csr_matmul_t, forward_rows, subgraph_rows
 
-from conftest import assert_one_gcn_normalization, gin_model, overflowing, path_graph, reweighted
+from conftest import (
+    assert_one_gcn_normalization,
+    gin_model,
+    overflowing,
+    path_graph,
+    reweighted,
+    with_weights,
+)
 from reference_engine import (
     loop_adjacency,
     loop_brute_force,
@@ -501,7 +508,7 @@ def test_weight_zero_is_deletion_at_205_nodes(kind):
     m = MODELS[kind]()
     g = ba_graph(200, seed=24, weighted=True)
     for e in np.random.default_rng(25).choice(g.num_undirected_edges, 6, replace=False):
-        zeroed = forward(m, g, weights=reweighted(g, [e], 0.0))
+        zeroed = forward(m, with_weights(g, reweighted(g, [e], 0.0)))
         kept = [
             (*g.undirected_endpoints(i), g.undirected_weight(i))
             for i in range(g.num_undirected_edges)
@@ -640,6 +647,8 @@ def test_one_graph_on_each_side_of_the_switch(kind, monkeypatch):
 @pytest.mark.parametrize("base_nodes", [20, 200], ids=["dense", "csr"])
 @pytest.mark.parametrize("bad", [-1.0, 2.0, np.nan, np.inf], ids=["negative", "above-1", "nan", "inf"])
 def test_forward_rejects_weights_outside_unit_interval(kind, base_nodes, bad):
+    """A re-weighted pass is a Graph, whose construction rejects the weight,
+    with no numpy warning, before any pass."""
     m = MODELS[kind]()
     g = ba_graph(base_nodes, seed=32, weighted=True)
     assert takes_csr_path(g) == (base_nodes == 200)
@@ -648,7 +657,7 @@ def test_forward_rejects_weights_outside_unit_interval(kind, base_nodes, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataFormatError, match="outside"):
-            forward(m, g, weights=w)
+            forward(m, with_weights(g, w))
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

@@ -28,7 +28,7 @@ from edgelens.data import DatasetRecord
 from edgelens.explain import explanation_to_json
 from edgelens.models import forward
 
-from conftest import one_edge_drops, random_graph, random_model, reweighted
+from conftest import one_edge_drops, random_graph, random_model, reweighted, with_weights
 
 
 class TestImportanceExactness:
@@ -48,7 +48,8 @@ class TestImportanceExactness:
     def test_single_unit_edge_denominator_is_two(self, path3, small_model):
         score = linear_gradient_scores(small_model, path3, 0).values[0]
         p_full = forward(small_model, path3).probabilities[0]
-        p_base = forward(small_model, path3, weights=reweighted(path3, [0], 0.0)).probabilities[0]
+        base = with_weights(path3, reweighted(path3, [0], 0.0))
+        p_base = forward(small_model, base).probabilities[0]
         assert score == (p_full - p_base) / 2.0
 
     def test_l1_counts_both_directions(self, small_model):
@@ -57,7 +58,7 @@ class TestImportanceExactness:
         g = Graph.undirected(np.ones((2, 2)), [(0, 1, 0.25)])
         score = linear_gradient_scores(small_model, g, 0).values[0]
         p_full = forward(small_model, g).probabilities[0]
-        p_base = forward(small_model, g, weights=[0.0]).probabilities[0]
+        p_base = forward(small_model, with_weights(g, [0.0])).probabilities[0]
         assert score == (p_full - p_base) / 0.5
 
     def test_zero_weight_edge_scores_zero(self, small_model):
@@ -339,8 +340,8 @@ class TestBaselines:
         g = Graph.undirected(np.ones((3, 2)), [(0, 1, 0.5), (1, 2, 0.5)])
         vals = sa_edge_scores(small_model, g, 0, h=1e-3).values
         for e in range(2):
-            hi = forward(small_model, g, weights=reweighted(g, [e], 0.501)).probabilities[0]
-            lo = forward(small_model, g, weights=reweighted(g, [e], 0.499)).probabilities[0]
+            hi = forward(small_model, with_weights(g, reweighted(g, [e], 0.501))).probabilities[0]
+            lo = forward(small_model, with_weights(g, reweighted(g, [e], 0.499))).probabilities[0]
             assert vals[e] == pytest.approx(abs(hi - lo) / 0.002, abs=1e-12)
 
     def test_ig_one_step_equals_forward_difference(self, small_model):

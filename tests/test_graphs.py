@@ -20,7 +20,15 @@ from edgelens import (
     save_graph,
     sparsity,
 )
-from edgelens.graphs import components, edge_mask, graph_from_json, graph_to_json
+from edgelens.graphs import (
+    InducedSubgraph,
+    components,
+    edge_mask,
+    endpoint_nodes,
+    graph_from_json,
+    graph_to_json,
+    internal_edges,
+)
 
 from conftest import random_graph
 
@@ -35,6 +43,98 @@ def brute_force_connected_subsets(g):
             if len(components(induce_by_edges(g, subset))) == 1:
                 out.append(subset)
     return sorted(out)
+
+
+def reference_internal_edges(g, vs):
+    """The parent edges with both endpoints in vs, as a set."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(vs)] = True
+    return frozenset(np.flatnonzero(inside[g.edge_u] & inside[g.edge_v]).tolist())
+
+
+def reference_endpoints(g, es):
+    """The endpoints of the edges es, as a set."""
+    return frozenset(v for e in es for v in g.undirected_endpoints(e))
+
+
+def rule_graphs():
+    """Random graphs, an edgeless graph, and a graph whose node 4 has no
+    edge."""
+    rng = np.random.default_rng(90)
+    graphs = [random_graph(rng, max_nodes=12, max_extra_edges=10) for _ in range(20)]
+    graphs.append(Graph.undirected(np.ones((3, 1)), []))
+    graphs.append(Graph.undirected(np.ones((5, 1)), [(0, 1), (1, 2), (2, 3), (1, 3)]))
+    return graphs
+
+
+class TestSubgraphRules:
+    def test_endpoint_nodes_are_the_endpoint_set(self):
+        rng = np.random.default_rng(91)
+        for g in rule_graphs():
+            edges = rng.uniform(size=(30, g.num_undirected_edges)) < rng.uniform(size=(30, 1))
+            batch = endpoint_nodes(g, edges)
+            assert batch.shape == (30, g.n) and batch.dtype == bool
+            for row, got in zip(edges, batch):
+                want = reference_endpoints(g, np.flatnonzero(row).tolist())
+                assert set(np.flatnonzero(got).tolist()) == want
+                np.testing.assert_array_equal(endpoint_nodes(g, row), got)
+
+    def test_internal_edges_are_the_internal_set(self):
+        rng = np.random.default_rng(92)
+        for g in rule_graphs():
+            nodes = rng.uniform(size=(30, g.n)) < rng.uniform(size=(30, 1))
+            batch = internal_edges(g, nodes)
+            assert batch.shape == (30, g.num_undirected_edges) and batch.dtype == bool
+            for row, got in zip(nodes, batch):
+                want = reference_internal_edges(g, np.flatnonzero(row).tolist())
+                assert set(np.flatnonzero(got).tolist()) == want
+                np.testing.assert_array_equal(internal_edges(g, row), got)
+
+    def test_node_without_edges(self):
+        g = rule_graphs()[-1]
+        assert not endpoint_nodes(g, np.ones(4, dtype=bool))[4]
+        np.testing.assert_array_equal(internal_edges(g, np.eye(5, dtype=bool)[4]), [False] * 4)
+
+    def test_induce_by_nodes_and_edges_is_the_set_formula(self):
+        rng = np.random.default_rng(93)
+        for g in rule_graphs():
+            for _ in range(10):
+                vs = np.flatnonzero(rng.uniform(size=g.n) < rng.uniform()).tolist()
+                es = np.flatnonzero(rng.uniform(size=g.num_undirected_edges) < rng.uniform())
+                s = induce_by_nodes_and_edges(g, vs, es.tolist())
+                assert s.nodes == tuple(sorted(set(vs) | reference_endpoints(g, es)))
+                assert s.edges == tuple(sorted(set(es.tolist()) | reference_internal_edges(g, vs)))
+
+
+class TestInducedSubgraph:
+    def test_stores_ids_ascending_and_once(self, path4):
+        s = InducedSubgraph(path4, (2, np.int64(1), 2, 3), (2, 1, 1))
+        assert s.nodes == (1, 2, 3) and s.edges == (1, 2)
+        assert {type(i) for i in s.nodes + s.edges} == {int}
+
+    # Each was accepted: intuitiveness gave 0.0 for (99,), a raw IndexError
+    # for ((0,), (99,)), where sparsity gave 0.667, and a raw KeyError for
+    # ((0,), (1,)), whose edge (1, 2) leaves the nodes.
+    @pytest.mark.parametrize(
+        "nodes, edges, match",
+        [
+            ((99,), (), "unknown node ids \\[99\\]"),
+            ((0,), (99,), "unknown edge indices \\[99\\]"),
+            ((0,), (1,), "edge indices \\[1\\] have endpoints outside the nodes"),
+            ((0, 1, 2), (0, 1, 2), "edge indices \\[2\\] have endpoints"),
+            ((-1,), (), "unknown node ids"),
+            ((1.0,), (), "node ids must be integers"),
+            ((True,), (), "node ids must be integers"),
+            ((0, 1), (False,), "edge indices must be integers"),
+        ],
+    )
+    def test_rejects(self, path4, nodes, edges, match):
+        with pytest.raises(InvalidSelectionError, match=match):
+            InducedSubgraph(path4, nodes, edges)
+
+    def test_empty_and_edgeless_selections(self, path4):
+        assert InducedSubgraph(path4, (), ()).nodes == ()
+        assert InducedSubgraph(path4, (3, 0), ()).nodes == (0, 3)
 
 
 class TestInduceByNodes:
@@ -226,6 +326,21 @@ class TestEnumeration:
         with pytest.raises(EnumerationTooLargeError):
             enumerate_connected_edge_subgraphs(g, cap=g.num_undirected_edges - 1)
 
+    # "16" raised a raw TypeError; 16.5 and True were used as caps.
+    @pytest.mark.parametrize(
+        "cap, message",
+        [("16", "must be an integer"), (16.5, "must be an integer"),
+         (True, "must be an integer"), (-1, "must be >= 0")],
+    )
+    def test_bad_cap_rejected(self, triangle, cap, message):
+        with pytest.raises(ValueError, match="^cap " + message):
+            enumerate_connected_edge_subgraphs(triangle, cap=cap)
+        with pytest.raises(ValueError, match="^cap " + message):
+            exhaustiveness("node", triangle, cap=cap)
+
+    def test_zero_cap_admits_an_edgeless_graph(self):
+        assert enumerate_connected_edge_subgraphs(Graph.undirected(np.ones((2, 1)), []), 0) == []
+
 
 def node_technique_oracle(g):
     """Brute force over every node subset: which connected edge subsets show
@@ -401,6 +516,13 @@ class TestEdgeArrays:
             ([0, 1], [1, 2], [0.5, np.inf], "^edge weight inf outside \\[0, 1\\]$"),
             ([0, 1], [1, 2], [1.0000000000000002, 2.0], "^edge weight 1\\.0000000000000002 outside"),
             ([0, 1], [1, 2], [1.0, -1e-300], "^edge weight -1e-300 outside \\[0, 1\\]$"),
+            # Endpoints that are not integers: 0.5 was truncated to the edge
+            # (0, 1), "a" raised a bare ValueError from int().
+            ([0.5], [1], [1.0], "^edge endpoints must be integers, got float64 and int64$"),
+            ([0], [1.0], [1.0], "^edge endpoints must be integers, got int64 and float64$"),
+            (["a"], [1], [1.0], "^edge endpoints must be integers, got <U1 and int64$"),
+            ([True], [1], [1.0], "^edge endpoints must be integers, got bool and int64$"),
+            ([0], np.array([2], dtype=object), [1.0], "endpoints must be integers"),
         ],
     )
     def test_rejects(self, edge_u, edge_v, edge_weight, match):
@@ -410,6 +532,9 @@ class TestEdgeArrays:
     def test_accepts_edgeless_graph_and_boundary_weights(self):
         g = Graph(np.ones((3, 1)), [], [], [])
         assert g.num_undirected_edges == 0
+        assert g.edge_u.dtype == g.edge_v.dtype == np.int64
+        g = Graph(np.ones((3, 1)), np.array([0], np.uint8), np.array([2], np.int32), [1.0])
+        assert g.undirected_endpoints(0) == (0, 2)
         g = Graph(np.ones((3, 1)), [0, 1, 0], [1, 2, 2], [-0.0, 1.0, 5e-324])
         np.testing.assert_array_equal(g.edge_weight, [0.0, 1.0, 5e-324])
 

@@ -32,7 +32,7 @@ from edgelens.models import (
     subgraph_rows,
 )
 
-from conftest import gin_model, random_graph, random_model, reweighted
+from conftest import gin_model, random_graph, random_model, reweighted, with_weights
 
 
 def identity_gcn():
@@ -85,7 +85,7 @@ class TestForwardGCN:
         for _ in range(10):
             g = random_graph(rng)
             m = random_model(rng)
-            zeroed = forward(m, g, weights=np.zeros(g.num_undirected_edges))
+            zeroed = forward(m, with_weights(g, np.zeros(g.num_undirected_edges)))
             edgeless = Graph.undirected(g.features, [])
             bare = forward(m, edgeless)
             np.testing.assert_array_equal(zeroed.probabilities, bare.probabilities)
@@ -103,7 +103,7 @@ class TestForwardGCN:
             g = random_graph(rng)
             m = random_model(rng)
             victim = int(rng.integers(0, g.num_undirected_edges))
-            with_zero = forward(m, g, weights=reweighted(g, [victim], 0.0))
+            with_zero = forward(m, with_weights(g, reweighted(g, [victim], 0.0)))
             kept = [
                 (u, v, w)
                 for i in range(g.num_undirected_edges)
@@ -175,11 +175,6 @@ class TestForwardProperties:
                 atol=1e-9,
             )
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
-    def test_wrong_shape_weights_rejected(self, path3, small_model, shape):
-        with pytest.raises(DataFormatError, match="weights of shape"):
-            forward(small_model, path3, weights=np.zeros(shape))
-
     def test_feature_dim_mismatch_is_data_error(self, path3):
         """A graph whose feature dimension is not the model's input
         dimension is bad data, not a numerical failure."""
@@ -190,14 +185,15 @@ class TestForwardProperties:
     def test_weights_leave_graph_untouched(self, path3, small_model):
         before = path3.edge_weight.copy()
         w = np.array([0.0, 0.5])
-        forward(small_model, path3, weights=w)
+        forward(small_model, with_weights(path3, w))
         np.testing.assert_array_equal(path3.edge_weight, before)
         np.testing.assert_array_equal(w, [0.0, 0.5])
 
     def test_weight_continuity(self, path3, small_model):
         base = forward(small_model, path3).logits
         for delta in (1e-3, 1e-4, 1e-5):
-            moved = forward(small_model, path3, weights=reweighted(path3, [0], 1.0 - delta)).logits
+            moved_graph = with_weights(path3, reweighted(path3, [0], 1.0 - delta))
+            moved = forward(small_model, moved_graph).logits
             assert np.all(np.isfinite(moved))
             assert np.max(np.abs(moved - base)) < 10 * delta
 
@@ -246,14 +242,15 @@ class TestForwardOnInduced:
     def test_empty_isolated_nodes_policy(self, path3, small_model):
         s = induce_by_edges(path3, set())
         a = forward_on_induced(small_model, s)
-        zeroed = forward(small_model, path3, weights=np.zeros(2))
+        zeroed = forward(small_model, with_weights(path3, np.zeros(2)))
         np.testing.assert_array_equal(a.probabilities, zeroed.probabilities)
 
     @pytest.mark.parametrize("node", [-1, 9, 1.5, True])
     def test_rejects_bad_node_ids(self, path4, small_model, forward_dense_calls, node):
         """A node id that is not an integer in [0, n) raises the typed error
-        that a bad edge index raises, before any pass: -1 does not wrap
-        around to node 3, and 9 and 1.5 give no raw IndexError."""
+        that a bad edge index raises when the subgraph is built, so before
+        any pass: -1 does not wrap around to node 3, and 9 and 1.5 give no
+        raw IndexError."""
         with pytest.raises(InvalidSelectionError, match="node ids"):
             forward_on_induced(small_model, InducedSubgraph(path4, (node,), ()))
         assert forward_dense_calls == []
@@ -461,6 +458,55 @@ class TestModelIO:
     def test_num_classes_rejected_in_memory(self, num_classes):
         with pytest.raises(ModelFormatError, match="^num_classes"):
             dataclasses.replace(identity_gcn(), num_classes=num_classes)
+
+    # A 1-D weight raised a raw IndexError and a list weight a raw
+    # AttributeError.
+    @pytest.mark.parametrize(
+        "part, name, value, match",
+        [
+            ("layer", "weight", np.ones(2), "^layer0.weight of float64 values and shape \\(2,\\)"),
+            ("layer", "weight", np.ones((2, 2, 1)), "^layer0.weight .* shape \\(2, 2, 1\\)"),
+            ("layer", "bias", np.zeros((1, 2)), "^layer0.bias .* is not a 1-D array of numbers"),
+            ("layer", "bias", 0.0, "^layer0.bias .* shape \\(\\)"),
+            ("layer", "weight", [["1", "0"], ["0", "1"]], "^layer0.weight of <U1 values"),
+            ("layer", "weight", np.eye(2, dtype=bool), "^layer0.weight of bool values"),
+            ("layer", "weight", [[1.0, 0.0], [0.0]], "^layer0.weight: "),
+            ("classifier", "b2", [[0.0, 0.0]], "^classifier.b2 .* is not a 1-D array"),
+            ("classifier", "w2", np.zeros(2, dtype=complex), "^classifier.w2 of complex128"),
+        ],
+    )
+    def test_malformed_arrays_rejected_in_memory(self, part, name, value, match):
+        m = identity_gcn()
+        if part == "layer":
+            layers = (dataclasses.replace(m.layers[0], **{name: value}),)
+            with pytest.raises(ModelFormatError, match=match):
+                dataclasses.replace(m, layers=layers)
+        else:
+            classifier = dataclasses.replace(m.classifier, **{name: value})
+            with pytest.raises(ModelFormatError, match=match):
+                dataclasses.replace(m, classifier=classifier)
+
+    def test_arrays_stored_as_float64(self, path3, tmp_path):
+        """Lists and integer arrays are stored as float64, so an accepted
+        model saves, loads and saves again to the same bytes: an int64 1
+        was written as 1 and read back as 1.0."""
+        m = identity_gcn()
+        layers = (GCNLayer(weight=[[1, 0], [0, 1]], bias=np.zeros(2, dtype=np.int64)),)
+        cls = dataclasses.replace(m.classifier, w1=np.eye(2, dtype=np.int64), b2=[0, 0])
+        converted = dataclasses.replace(m, layers=layers, classifier=cls)
+        for arr in converted.parameter_arrays().values():
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+        text = model_to_json(converted)
+        assert text == model_to_json(m)
+        save_model(converted, tmp_path / "m.json")
+        assert model_to_json(load_model(tmp_path / "m.json")) == text
+        np.testing.assert_array_equal(forward(converted, path3).logits, forward(m, path3).logits)
+
+    def test_float64_arrays_are_kept_as_given(self):
+        """The trainer updates a model's own arrays in place."""
+        m = identity_gcn()
+        weight = m.layers[0].weight
+        assert dataclasses.replace(m).layers[0].weight is weight
 
     @pytest.mark.parametrize(
         "epsilon",

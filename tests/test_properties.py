@@ -22,7 +22,7 @@ from edgelens import (
     linear_gradient_scores,
 )
 
-from conftest import gin_model
+from conftest import gin_model, with_weights
 
 FEATURES = 3
 
@@ -69,7 +69,7 @@ def test_weight_zero_is_edge_deletion(g, kind, seed, data):
     e = data.draw(st.integers(0, g.num_undirected_edges - 1), label="edge")
     w = g.edge_weight.copy()
     w[e] = 0.0
-    zeroed = forward(m, g, weights=w)
+    zeroed = forward(m, with_weights(g, w))
     keep = np.arange(g.num_undirected_edges) != e
     deleted = Graph(g.features, g.edge_u[keep], g.edge_v[keep], g.edge_weight[keep])
     expected = forward(m, deleted)
@@ -87,7 +87,7 @@ def test_linear_gradient_is_one_edge_slope(g, kind, seed, data):
     for e, w_e in enumerate(g.edge_weight):
         w = g.edge_weight.copy()
         w[e] = 0.0
-        p_zero = forward(m, g, weights=w).probabilities[c]
+        p_zero = forward(m, with_weights(g, w)).probabilities[c]
         assert scores[e] == (0.0 if w_e == 0.0 else (p - p_zero) / (2 * w_e))
 
 
